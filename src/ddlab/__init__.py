@@ -24,7 +24,7 @@ from .empirical import (
     run_replications,
     sample_matrix,
 )
-from .numkernel import EigenPair, min_norm_fit, pseudo_inverse, solve_shifted, sym_eig
+from .numkernel import pseudo_inverse, solve_shifted
 from .selfconsistent import (
     KappaSolution,
     kappa_at_dof,
@@ -41,8 +41,8 @@ from .spectrum import (
     make_isotropic,
     make_power_law,
     make_two_dirac,
-    signal_from_vector,
     signal_functional,
+    spectrum_for,
     spectrum_from_json,
     spectrum_to_json,
 )

@@ -37,15 +37,16 @@ from .empirical import (
     probe_trace_equivalents,
     run_replications,
     sample_matrix,
+    seeded_instance,
 )
 from .selfconsistent import kappa_at_dof, kappa_of_lambda
 from .spectrum import (
+    SPECTRUM_KINDS,
     SignalMeasure,
     Spectrum,
-    make_inverse_index,
     make_isotropic,
-    make_power_law,
     make_two_dirac,
+    spectrum_for,
 )
 from .theory import RiskBreakdown, ridge_risk, rp_risk
 
@@ -197,7 +198,7 @@ def sweep_rows(config: SweepConfig, record_kappa: bool = False):
         theory = _theory_breakdowns(spec, signal, config)
     empirical = None
     if config.mode in ("empirical", "both"):
-        empirical = run_replications(config, record_kappa=record_kappa)
+        empirical = run_replications(config, inst, record_kappa=record_kappa)
 
     rows = []
     for gi, value in enumerate(grid):
@@ -310,20 +311,6 @@ def fig2_theory_measures(n: int) -> tuple[Spectrum, SignalMeasure, float]:
     return spec, SignalMeasure(masses=masses), mean_eig
 
 
-def _fig2_instance(n: int, realization: int, master_seed: int) -> ProblemInstance:
-    d = 2 * n
-    eigs = np.concatenate([np.full(d // 2, 4.0), np.full(d // 2, 1.0)])
-    rng_q = np.random.default_rng(child_seed(master_seed, n, realization, 2))
-    q, r = np.linalg.qr(rng_q.standard_normal((d, d)))
-    q *= np.sign(np.diag(r))[None, :]
-    rng_t = np.random.default_rng(child_seed(master_seed, n, realization, 3))
-    theta = rng_t.standard_normal(d)
-    theta /= math.sqrt(theta @ (q @ (eigs * (q.T @ theta))))
-    return ProblemInstance(
-        n=n, d=d, sigma_noise=1.0, sigma_basis=q, sigma_eigs=eigs, theta_star=theta
-    )
-
-
 def run_fig2(
     n_values=FIG2_N_VALUES,
     deltas=FIG2_DELTAS,
@@ -342,12 +329,16 @@ def run_fig2(
     summary: dict[int, dict] = {}
     for n in n_values:
         spec_th, signal_th, _ = fig2_theory_measures(n)
+        eigs = np.sort(spec_th.expand())[::-1].copy()
         rows = []
         gaps_bias, gaps_var = [], []
         gom_bias, gom_var = [], []
         per_real: dict[int, list[tuple[float, float]]] = {j: [] for j in range(len(deltas))}
         for r in range(realizations):
-            inst = _fig2_instance(n, r, master_seed)
+            inst = seeded_instance(
+                n, 1.0, eigs,
+                child_seed(master_seed, n, r, 2), child_seed(master_seed, n, r, 3),
+            )
             z = sample_matrix(n, inst.d, sampler, child_seed(master_seed, n, r, 0))
             x = z @ inst.sqrt_covariance()
             for j, delta in enumerate(deltas):
@@ -389,15 +380,19 @@ def run_fig2(
     return tables, summary
 
 
+def _dims_for_gamma(gamma: float) -> tuple[int, int]:
+    """(n, d) with d/n = gamma, scaled so the larger of the two is near 2000."""
+    frac = Fraction(gamma).limit_denominator(10**6)
+    scale = max(1, 2000 // max(frac.numerator, frac.denominator))
+    return frac.denominator * scale, frac.numerator * scale
+
+
 def run_fig3(gammas=(0.5, 1.0, 2.0), lambda_max: float = 3.0, points: int = 25):
     """Implicit regularization curves kappa(lambda) for unit isotropic spectra."""
     lams = [0.0] + list(np.geomspace(1e-3, lambda_max, points))
     rows = []
     for gamma in gammas:
-        frac = Fraction(gamma).limit_denominator(10**6)
-        scale = max(1, 2000 // max(frac.numerator, frac.denominator))
-        d = frac.numerator * scale
-        n = frac.denominator * scale
+        n, d = _dims_for_gamma(gamma)
         spec = make_isotropic(d, 1.0)
         masses = (spec.weights / d) / 1.0
         signal = SignalMeasure(masses=masses)
@@ -421,27 +416,18 @@ def run_fig3(gammas=(0.5, 1.0, 2.0), lambda_max: float = 3.0, points: int = 25):
 # Spectrum flag parsing
 # ---------------------------------------------------------------------------
 
+# Flag syntax of the kinds built from parameters; a file spectrum needs the
+# path a --config file carries.
+_SPECTRUM_USAGE = ", ".join(
+    kind.usage(name) for name, kind in SPECTRUM_KINDS.items() if kind.make is not None
+)
+
+
 def parse_spectrum_flag(text: str) -> tuple[str, list[float]]:
     """Parse 'kind' or 'kind:p1,p2,...' into (kind, params)."""
     kind, _, tail = text.partition(":")
     params = [float(p) for p in tail.split(",")] if tail else []
     return kind, params
-
-
-def _spectrum_from_flag(kind: str, params: list[float], d: int) -> Spectrum:
-    if kind == "isotropic":
-        sigma = params[0] if params else 1.0 / d
-        return make_isotropic(d, sigma)
-    if kind == "inverse_index":
-        return make_inverse_index(d)
-    if kind == "power_law":
-        alpha = params[0]
-        tau = params[1] if len(params) > 1 else 1.0
-        return make_power_law(d, alpha, tau)
-    if kind == "two_dirac":
-        pi1, s1, s2 = params
-        return make_two_dirac(d, pi1, s1, s2)
-    raise UsageError(f"unsupported spectrum kind {kind!r} for this command")
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +485,7 @@ def _add_sweep_flags(sub):
     sub.add_argument("--n", type=int)
     sub.add_argument("--d", type=int)
     sub.add_argument("--sigma", type=float, help="noise standard deviation")
-    sub.add_argument("--spectrum", help="kind or kind:p1,p2 (isotropic, inverse_index, power_law, two_dirac)")
+    sub.add_argument("--spectrum", help=f"kind or kind:p1,p2 ({_SPECTRUM_USAGE})")
     sub.add_argument("--signal-seed", type=int)
     sub.add_argument("--m-grid", help="comma-separated projection counts")
     sub.add_argument("--lambda-grid", help="comma-separated ridge penalties")
@@ -509,47 +495,43 @@ def _add_sweep_flags(sub):
     sub.add_argument("--out", default="sweep.csv", help="output CSV path")
 
 
-def _emit_sweep(config: SweepConfig, out_path, assumptions=None) -> None:
-    rows, inst, _ = sweep_rows(config)
-    out_path = Path(out_path)
+def _emit_sweep(config: SweepConfig, out_path: Path, record_kappa: bool, assumptions: dict):
+    """Run a sweep, write its curve CSV and .meta.json, report the row count.
+
+    Returns the Monte Carlo results (None in theory mode).
+    """
+    rows, inst, sweep = sweep_rows(config, record_kappa=record_kappa)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_curve_csv(out_path, rows)
     write_metadata(out_path.with_suffix(".meta.json"), _sweep_metadata(config, inst, assumptions))
     print(f"wrote {out_path} ({len(rows)} rows)")
+    return sweep
 
 
 def _cmd_theory(args) -> int:
     config = _config_from_args(args, mode="theory")
-    _emit_sweep(config, args.out)
+    _emit_sweep(config, Path(args.out), record_kappa=False, assumptions={})
     return 0
 
 
 def _cmd_empirical(args) -> int:
     mode = "both" if args.with_theory else "empirical"
     config = _config_from_args(args, mode=mode)
-    rows, inst, sweep = sweep_rows(config, record_kappa=args.record_kappa)
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_curve_csv(out_path, rows)
-    write_metadata(out_path.with_suffix(".meta.json"), _sweep_metadata(config, inst))
+    sweep = _emit_sweep(config, Path(args.out), record_kappa=args.record_kappa, assumptions={})
     if args.per_rep_out:
         write_replication_csv(args.per_rep_out, sweep)
-    print(f"wrote {out_path} ({len(rows)} rows)")
     return 0
 
 
 def _cmd_kappa(args) -> int:
     kind, params = parse_spectrum_flag(args.spectrum)
     if args.gamma is not None:
-        frac = Fraction(args.gamma).limit_denominator(10**6)
-        scale = max(1, 2000 // max(frac.numerator, frac.denominator))
-        d = frac.numerator * scale
-        n = frac.denominator * scale
+        n, d = _dims_for_gamma(args.gamma)
     elif args.n is not None and args.d is not None:
         n, d = args.n, args.d
     else:
         raise UsageError("provide --gamma or both --n and --d")
-    spec = _spectrum_from_flag(kind, params, d)
+    spec = spectrum_for(kind, params, d)
     if args.dof_target is not None:
         sol = kappa_at_dof(spec, args.dof_target * n)
     else:
@@ -563,8 +545,7 @@ def _cmd_kappa(args) -> int:
 def _cmd_probe_traces(args) -> int:
     kind, params = parse_spectrum_flag(args.spectrum)
     config = SweepConfig(
-        n=args.n, d=args.d, sigma_noise=1.0, spectrum_kind=kind,
-        spectrum_params=params or ([1.0 / args.d] if kind == "isotropic" else []),
+        n=args.n, d=args.d, sigma_noise=1.0, spectrum_kind=kind, spectrum_params=params,
         sampler=args.sampler, master_seed=args.master_seed, mode="probe",
     )
     inst = build_instance(config)
@@ -608,14 +589,10 @@ def _cmd_reproduce(args) -> int:
     out_dir = Path(args.out or f"reproduce_{name}")
     out_dir.mkdir(parents=True, exist_ok=True)
     if name in ("fig1", "fig4", "fig5"):
-        config = preset_config(name)
-        rows, inst, _ = sweep_rows(config)
-        write_curve_csv(out_dir / f"{name}.csv", rows)
-        write_metadata(
-            out_dir / f"{name}.meta.json",
-            _sweep_metadata(config, inst, _PRESET_ASSUMPTIONS[name]),
+        _emit_sweep(
+            preset_config(name), out_dir / f"{name}.csv",
+            record_kappa=False, assumptions=_PRESET_ASSUMPTIONS[name],
         )
-        print(f"wrote {out_dir / (name + '.csv')} ({len(rows)} rows)")
         return 0
     if name == "fig2":
         tables, summary = run_fig2()
@@ -678,7 +655,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_empirical)
 
     sub = subs.add_parser("kappa", help="solve the implicit regularization parameter")
-    sub.add_argument("--spectrum", required=True, help="kind or kind:p1,p2")
+    sub.add_argument(
+        "--spectrum", required=True, help=f"kind or kind:p1,p2 ({_SPECTRUM_USAGE})"
+    )
     sub.add_argument("--gamma", type=float, help="dimension ratio d/n")
     sub.add_argument("--n", type=int)
     sub.add_argument("--d", type=int)
@@ -692,7 +671,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("probe-traces", help="trace equivalents gap table")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--d", type=int, required=True)
-    sub.add_argument("--spectrum", default="isotropic")
+    sub.add_argument(
+        "--spectrum", default="isotropic", help=f"kind or kind:p1,p2 ({_SPECTRUM_USAGE})"
+    )
     sub.add_argument("--lambdas", default="0.1,1", help="comma-separated penalties")
     sub.add_argument("--seeds", type=int, default=1)
     sub.add_argument("--sampler", choices=("gaussian", "rademacher"), default="rademacher")

@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .spectrum import SPECTRUM_KINDS, check_spectrum_params
+
 
 def default_m_grid(n: int) -> list[int]:
     """Projection-count grid: dense through both regimes, out to m = 4n.
@@ -28,7 +30,6 @@ def default_m_grid(n: int) -> list[int]:
     grid += list(range(2 * n, 4 * n + 1, 4 * step))
     return grid
 
-SPECTRUM_KINDS = ("isotropic", "inverse_index", "power_law", "two_dirac", "file")
 SIGNAL_KINDS = ("random_gaussian_normalized", "aligned_file")
 SAMPLERS = ("gaussian", "rademacher")
 MODES = ("theory", "empirical", "both", "probe")
@@ -39,6 +40,14 @@ DEFAULT_MASTER_SEED = 20_240_001
 
 class ConfigError(ValueError):
     """A sweep configuration violates the schema."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -63,41 +72,50 @@ class SweepConfig:
         self.validate()
 
     def validate(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise ConfigError(f"n: must be a positive integer, got {self.n!r}")
-        if not isinstance(self.d, int) or self.d < 1:
+        if not _is_int(self.d) or self.d < 1:
             raise ConfigError(f"d: must be a positive integer, got {self.d!r}")
-        if not self.sigma_noise >= 0:
+        if not _is_real(self.sigma_noise) or not self.sigma_noise >= 0:
             raise ConfigError(f"sigma_noise: must be nonnegative, got {self.sigma_noise!r}")
-        if self.spectrum_kind not in SPECTRUM_KINDS:
+        self.sigma_noise = float(self.sigma_noise)
+        kind = SPECTRUM_KINDS.get(self.spectrum_kind)
+        if kind is None:
             raise ConfigError(
-                f"spectrum.kind: {self.spectrum_kind!r} not one of {SPECTRUM_KINDS}"
+                f"spectrum.kind: {self.spectrum_kind!r} not one of {tuple(SPECTRUM_KINDS)}"
             )
-        if self.spectrum_kind == "isotropic" and not self.spectrum_params:
-            # Unit-trace default.
-            self.spectrum_params = [1.0 / self.d]
+        if not self.spectrum_params and not kind.required:
+            # Record the defaults, e.g. the unit-trace isotropic level.
+            self.spectrum_params = kind.defaults(self.d)
         if self.spectrum_kind == "file" and not self.spectrum_path:
             raise ConfigError("spectrum.path: required when spectrum.kind is 'file'")
         for i, p in enumerate(self.spectrum_params):
-            if not isinstance(p, (int, float)):
+            if not _is_real(p):
                 raise ConfigError(f"spectrum.params[{i}]: must be numeric, got {p!r}")
+        try:
+            check_spectrum_params(self.spectrum_kind, self.spectrum_params)
+        except ValueError as exc:
+            raise ConfigError(f"spectrum.params: {exc}") from None
+        self.spectrum_params = [float(p) for p in self.spectrum_params]
         if self.signal_kind not in SIGNAL_KINDS:
             raise ConfigError(f"signal.kind: {self.signal_kind!r} not one of {SIGNAL_KINDS}")
         if self.signal_kind == "aligned_file" and not (self.signal_path or self.spectrum_path):
             raise ConfigError("signal.path: required when signal.kind is 'aligned_file'")
+        if not _is_int(self.signal_seed):
+            raise ConfigError(f"signal.seed: must be an integer, got {self.signal_seed!r}")
         for i, m in enumerate(self.m_grid):
-            if not isinstance(m, int) or m < 1:
+            if not _is_int(m) or m < 1:
                 raise ConfigError(f"m_grid[{i}]: must be a positive integer, got {m!r}")
         for i, lam in enumerate(self.lambda_grid):
-            if not isinstance(lam, (int, float)) or lam < 0:
+            if not _is_real(lam) or lam < 0:
                 raise ConfigError(f"lambda_grid[{i}]: must be a nonnegative number, got {lam!r}")
-        if not isinstance(self.replications, int) or self.replications < 0:
+        if not _is_int(self.replications) or self.replications < 0:
             raise ConfigError(
                 f"replications: must be a nonnegative integer, got {self.replications!r}"
             )
         if self.sampler not in SAMPLERS:
             raise ConfigError(f"sampler: {self.sampler!r} not one of {SAMPLERS}")
-        if not isinstance(self.master_seed, int):
+        if not _is_int(self.master_seed):
             raise ConfigError(f"master_seed: must be an integer, got {self.master_seed!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode: {self.mode!r} not one of {MODES}")
@@ -153,7 +171,7 @@ class SweepConfig:
                 raise ConfigError(f"{req}: required field missing")
         kwargs: dict = {"n": doc["n"], "d": doc["d"]}
         if "sigma_noise" in doc:
-            kwargs["sigma_noise"] = float(doc["sigma_noise"])
+            kwargs["sigma_noise"] = doc["sigma_noise"]
         spectrum = doc.get("spectrum", {})
         if not isinstance(spectrum, dict):
             raise ConfigError("spectrum: expected an object")
@@ -162,7 +180,7 @@ class SweepConfig:
         if "params" in spectrum:
             if not isinstance(spectrum["params"], list):
                 raise ConfigError("spectrum.params: expected a list")
-            kwargs["spectrum_params"] = [float(p) for p in spectrum["params"]]
+            kwargs["spectrum_params"] = spectrum["params"]
         if "path" in spectrum:
             kwargs["spectrum_path"] = spectrum["path"]
         signal = doc.get("signal", {})
@@ -171,7 +189,7 @@ class SweepConfig:
         if "kind" in signal:
             kwargs["signal_kind"] = signal["kind"]
         if "seed" in signal:
-            kwargs["signal_seed"] = int(signal["seed"])
+            kwargs["signal_seed"] = signal["seed"]
         if "path" in signal:
             kwargs["signal_path"] = signal["path"]
         for key in ("m_grid", "lambda_grid"):
@@ -179,10 +197,7 @@ class SweepConfig:
                 if not isinstance(doc[key], list):
                     raise ConfigError(f"{key}: expected a list")
                 kwargs[key] = doc[key]
-        for key in ("replications", "master_seed"):
-            if key in doc:
-                kwargs[key] = int(doc[key])
-        for key in ("sampler", "mode"):
+        for key in ("replications", "master_seed", "sampler", "mode"):
             if key in doc:
                 kwargs[key] = doc[key]
         return cls(**kwargs)

@@ -27,7 +27,7 @@ from .numkernel import (
     solve_shifted,
 )
 from .selfconsistent import kappa_of_lambda
-from .spectrum import SignalMeasure, Spectrum, df2, spectrum_from_json
+from .spectrum import SignalMeasure, Spectrum, df2, spectrum_for, spectrum_from_json
 
 __all__ = [
     "ProblemInstance",
@@ -40,6 +40,7 @@ __all__ = [
     "sample_matrix",
     "build_design",
     "build_instance",
+    "seeded_instance",
     "conditional_risk_projected",
     "conditional_risk_ridge",
     "empirical_kappa_lambda",
@@ -178,34 +179,33 @@ def build_design(inst: ProblemInstance, z: np.ndarray) -> np.ndarray:
 # Instance construction from a sweep configuration
 # ---------------------------------------------------------------------------
 
-def _instance_eigenvalues(config: SweepConfig) -> np.ndarray:
-    d = config.d
-    kind = config.spectrum_kind
-    params = config.spectrum_params
-    if kind == "isotropic":
-        (sigma,) = params
-        return np.full(d, float(sigma))
-    if kind == "inverse_index":
-        e = 1.0 / np.arange(1, d + 1)
-        return e / e.sum()
-    if kind == "power_law":
-        alpha, tau = (params + [1.0])[:2]
-        if not alpha > 1:
-            raise ValueError(f"power-law exponent must exceed 1, got {alpha}")
-        k = np.arange(1, d + 1, dtype=float)
-        return tau * (d / k) ** alpha
-    if kind == "two_dirac":
-        pi1, sigma1, sigma2 = params
-        n1 = int(round(pi1 * d))
-        return np.concatenate([np.full(n1, float(sigma1)), np.full(d - n1, float(sigma2))])
-    if kind == "file":
-        with open(config.spectrum_path, "r", encoding="utf-8") as fh:
-            spec, _ = spectrum_from_json(fh.read())
-        reps = np.rint(spec.weights).astype(int)
-        if not np.allclose(reps, spec.weights, atol=1e-9) or reps.sum() != d:
-            raise ValueError("file spectrum needs integer atom weights summing to d")
-        return np.repeat(spec.eigenvalues, reps)
-    raise ValueError(f"unknown spectrum kind {kind!r}")
+def _seeded_basis(d: int, seed: int) -> np.ndarray:
+    """Uniformly random d x d orthogonal matrix: QR of a seeded Gaussian draw,
+    column signs fixed by the diagonal of R."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    q *= np.sign(np.diag(r))[None, :]
+    return q
+
+
+def seeded_instance(
+    n: int, sigma_noise: float, eigs: np.ndarray, basis_seed: int, theta_seed: int
+) -> ProblemInstance:
+    """Instance with a seeded random eigenbasis and a seeded Gaussian target.
+
+    The target is normalized to unit signal strength theta' Sigma theta = 1.
+    """
+    d = eigs.shape[0]
+    q = _seeded_basis(d, basis_seed)
+    theta = np.random.default_rng(theta_seed).standard_normal(d)
+    theta = theta / math.sqrt(theta @ (q @ (eigs * (q.T @ theta))))
+    return ProblemInstance(
+        n=n, d=d, sigma_noise=sigma_noise, sigma_basis=q, sigma_eigs=eigs, theta_star=theta
+    )
+
+
+def _read_measures(path) -> tuple[Spectrum, SignalMeasure | None]:
+    with open(path, "r", encoding="utf-8") as fh:
+        return spectrum_from_json(fh.read())
 
 
 def build_instance(config: SweepConfig) -> ProblemInstance:
@@ -216,45 +216,45 @@ def build_instance(config: SweepConfig) -> ProblemInstance:
     function of the configuration.
     """
     d = config.d
-    raw_eigs = _instance_eigenvalues(config)
-    order = np.argsort(raw_eigs)[::-1]
-    eigs = raw_eigs[order].copy()
-    rng_basis = np.random.default_rng(child_seed(config.master_seed, _STREAM_BASIS))
-    q, r = np.linalg.qr(rng_basis.standard_normal((d, d)))
-    q *= np.sign(np.diag(r))[None, :]
+    if config.spectrum_kind == "file":
+        spec, _ = _read_measures(config.spectrum_path)
+        if spec.d != d or not np.allclose(spec.multiplicities(), spec.weights, atol=1e-9):
+            raise ValueError("file spectrum needs integer atom weights summing to d")
+    else:
+        spec = spectrum_for(config.spectrum_kind, config.spectrum_params, d)
+    raw_eigs = spec.expand()
+    eigs = raw_eigs[np.argsort(raw_eigs)[::-1]].copy()
+    basis_seed = child_seed(config.master_seed, _STREAM_BASIS)
 
     if config.signal_kind == "random_gaussian_normalized":
-        rng_theta = np.random.default_rng(child_seed(config.signal_seed, _STREAM_THETA))
-        theta = rng_theta.standard_normal(d)
-        scale = theta @ (q @ (eigs * (q.T @ theta)))
-        theta = theta / math.sqrt(scale)
-    elif config.signal_kind == "aligned_file":
-        path = config.signal_path or config.spectrum_path
-        with open(path, "r", encoding="utf-8") as fh:
-            spec, signal = spectrum_from_json(fh.read())
-        if signal is None:
-            raise ValueError(f"signal file {path} carries no signal masses")
-        reps = np.rint(spec.weights).astype(int)
-        # Spread each atom's mass over its directions and order them by the
-        # file's own eigenvalues, descending, to line up with the instance.
-        per_direction = np.repeat(signal.masses / np.maximum(reps, 1), reps)
-        file_eigs = np.repeat(spec.eigenvalues, reps)
-        if per_direction.shape != (d,):
-            raise ValueError("aligned signal does not match dimension d")
-        file_order = np.argsort(file_eigs)[::-1]
-        if not np.allclose(file_eigs[file_order], eigs, rtol=1e-9, atol=0.0):
-            raise ValueError("aligned signal file does not match the spectrum")
-        theta = q @ np.sqrt(per_direction[file_order])
-    else:
+        return seeded_instance(
+            config.n, config.sigma_noise, eigs, basis_seed,
+            child_seed(config.signal_seed, _STREAM_THETA),
+        )
+    if config.signal_kind != "aligned_file":
         raise ValueError(f"unknown signal kind {config.signal_kind!r}")
-
+    path = config.signal_path or config.spectrum_path
+    spec, signal = _read_measures(path)
+    if signal is None:
+        raise ValueError(f"signal file {path} carries no signal masses")
+    # Spread each atom's mass over its directions and order them by the
+    # file's own eigenvalues, descending, to line up with the instance.
+    reps = spec.multiplicities()
+    per_direction = np.repeat(signal.masses / np.maximum(reps, 1), reps)
+    file_eigs = spec.expand()
+    if per_direction.shape != (d,):
+        raise ValueError("aligned signal does not match dimension d")
+    file_order = np.argsort(file_eigs)[::-1]
+    if not np.allclose(file_eigs[file_order], eigs, rtol=1e-9, atol=0.0):
+        raise ValueError("aligned signal file does not match the spectrum")
+    q = _seeded_basis(d, basis_seed)
     return ProblemInstance(
         n=config.n,
         d=d,
         sigma_noise=config.sigma_noise,
         sigma_basis=q,
         sigma_eigs=eigs,
-        theta_star=theta,
+        theta_star=q @ np.sqrt(per_direction[file_order]),
     )
 
 
@@ -500,8 +500,12 @@ def _clamp(value: float) -> tuple[float, bool, bool]:
     return value, False, True
 
 
-def run_replications(config: SweepConfig, record_kappa: bool = False) -> SweepEmpirical:
-    """Run the Monte Carlo sweep a configuration describes.
+def run_replications(
+    config: SweepConfig, inst: ProblemInstance, record_kappa: bool = False
+) -> SweepEmpirical:
+    """Run the Monte Carlo sweep a configuration describes on its instance.
+
+    ``inst`` is ``build_instance(config)``, built once by the caller.
 
     For every grid point and replication index the child seeds are derived
     from (master_seed, grid index, replication index), so the result stream
@@ -510,7 +514,6 @@ def run_replications(config: SweepConfig, record_kappa: bool = False) -> SweepEm
     Replications whose projected design loses rank are excluded and counted;
     roundoff-negative risks are clamped to zero and counted.
     """
-    inst = build_instance(config)
     grid_kind = config.grid_kind
     grid = config.m_grid if grid_kind == "m" else config.lambda_grid
     sqrt_cov = inst.sqrt_covariance()

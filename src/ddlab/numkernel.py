@@ -1,21 +1,19 @@
 """Dense symmetric linear-algebra kernels.
 
-Everything downstream (risk formulas, Monte Carlo probes) reduces to three
-primitives on symmetric matrices: eigendecomposition, shifted positive-definite
-solves, and minimum-norm least squares.  All functions are pure and operate on
-plain float64 ndarrays; there is no shared state, so they are safe to call
-from multiple threads.
+The Monte Carlo risks and probes reduce to two primitives: shifted
+positive-definite solves with symmetric matrices, and Moore-Penrose
+pseudo-inverses with their numerical rank.  All functions are pure and
+operate on plain float64 ndarrays; there is no shared state, so they are
+safe to call from multiple threads.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 # Rank cutoff for pseudo-inverses, relative to the largest singular value.
-# Exposed as a parameter on the fitting routines because projected designs
+# Exposed as a parameter of pseudo_inverse because projected designs
 # just above the interpolation threshold are genuinely ill-conditioned.
 DEFAULT_RANK_TOL = 1e-12
 
@@ -32,22 +30,6 @@ class IndefiniteMatrixError(NumericalError):
         self.min_eigenvalue = min_eigenvalue
 
 
-@dataclass(frozen=True, eq=False)
-class EigenPair:
-    """Spectral factorization a = basis @ diag(eigenvalues) @ basis.T.
-
-    Eigenvalues are sorted in descending order; basis columns are the
-    matching orthonormal eigenvectors.
-    """
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-
 def as_sym_matrix(a, *, name: str = "matrix") -> np.ndarray:
     """Validate and return a square symmetric float64 matrix."""
     a = np.asarray(a, dtype=float)
@@ -61,22 +43,6 @@ def as_sym_matrix(a, *, name: str = "matrix") -> np.ndarray:
             raise ValueError(f"{name} is not symmetric")
         a = 0.5 * (a + a.T)
     return a
-
-
-def sym_eig(a) -> EigenPair:
-    """Eigendecompose a symmetric matrix, eigenvalues descending.
-
-    Raises NumericalError if the underlying iteration fails to converge.
-    """
-    a = as_sym_matrix(a)
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"symmetric eigendecomposition failed to converge for a {a.shape[0]}x{a.shape[0]} matrix"
-        ) from exc
-    order = np.argsort(w)[::-1]
-    return EigenPair(eigenvalues=w[order], basis=v[:, order])
 
 
 def solve_shifted(a, shift: float, rhs) -> np.ndarray:
@@ -113,68 +79,25 @@ def solve_shifted(a, shift: float, rhs) -> np.ndarray:
     return x
 
 
-def _gram_pinv_factors(design: np.ndarray, tol: float):
-    """Eigendecompose the smaller Gram matrix of design and cut small modes.
-
-    Returns (numerical_rank, kept_eigenvalues, kept_eigenvectors, side) where
-    side is "cols" when the p x p Gram was used and "rows" for the n x n one.
-    The cutoff drops singular values below tol times the largest one; Gram
-    eigenvalues at the machine-noise level eps * max(n, p) relative to the
-    top are always dropped, which is the resolution limit of this route.
-    """
-    n, p = design.shape
-    if p <= n:
-        gram = design.T @ design
-        side = "cols"
-    else:
-        gram = design @ design.T
-        side = "rows"
-    w, v = np.linalg.eigh(gram)
-    w = np.maximum(w, 0.0)
-    top = float(w.max(initial=0.0))
-    if top == 0.0:
-        return 0, w[:0], v[:, :0], side
-    cutoff = top * max(tol**2, np.finfo(float).eps * max(n, p))
-    keep = w > cutoff
-    return int(keep.sum()), w[keep], v[:, keep], side
-
-
-def min_norm_fit(design, y, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Minimum-Euclidean-norm solution of min ||y - design @ w||^2.
-
-    Routed through the smaller of the two Gram matrices; singular values
-    below tol times the largest are treated as zero.  An all-zero design
-    returns the zero vector.
-    """
-    design = np.asarray(design, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if design.ndim != 2:
-        raise ValueError(f"design must be 2-D, got shape {design.shape}")
-    n, p = design.shape
-    if y.shape[0] != n:
-        raise ValueError(f"y has length {y.shape[0]}, expected {n}")
-    rank, w, v, side = _gram_pinv_factors(design, tol)
-    if rank == 0:
-        return np.zeros(p if y.ndim == 1 else (p,) + y.shape[1:])
-    if side == "cols":
-        # w = V diag(1/lambda) V' X' y
-        proj = v.T @ (design.T @ y)
-        return v @ (proj / w[:, None] if proj.ndim == 2 else proj / w)
-    # w = X' U diag(1/lambda) U' y
-    proj = v.T @ y
-    return design.T @ (v @ (proj / w[:, None] if proj.ndim == 2 else proj / w))
-
-
 def pseudo_inverse(design, tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, int]:
     """Moore-Penrose pseudo-inverse via the smaller Gram eigendecomposition.
 
     Returns (pinv, numerical_rank); pinv has shape (p, n) for an n x p input.
+    The cutoff drops singular values below tol times the largest one; Gram
+    eigenvalues at the machine-noise level eps * max(n, p) relative to the
+    top are always dropped, which is the resolution limit of this route.
+    An all-zero design has rank 0 and a zero pseudo-inverse.
     """
     design = np.asarray(design, dtype=float)
     n, p = design.shape
-    rank, w, v, side = _gram_pinv_factors(design, tol)
-    if rank == 0:
+    cols = p <= n
+    w, v = np.linalg.eigh(design.T @ design if cols else design @ design.T)
+    w = np.maximum(w, 0.0)
+    top = float(w.max(initial=0.0))
+    if top == 0.0:
         return np.zeros((p, n)), 0
-    if side == "cols":
-        return (v / w) @ (v.T @ design.T), rank
-    return design.T @ ((v / w) @ v.T), rank
+    keep = w > top * max(tol**2, np.finfo(float).eps * max(n, p))
+    w, v = w[keep], v[:, keep]
+    if cols:
+        return (v / w) @ (v.T @ design.T), int(keep.sum())
+    return design.T @ ((v / w) @ v.T), int(keep.sum())

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-
-from .numkernel import EigenPair
 
 __all__ = [
     "Spectrum",
     "SignalMeasure",
+    "SpectrumKind",
+    "SPECTRUM_KINDS",
     "df1",
     "df2",
     "signal_functional",
@@ -27,7 +28,8 @@ __all__ = [
     "make_inverse_index",
     "make_power_law",
     "make_two_dirac",
-    "signal_from_vector",
+    "check_spectrum_params",
+    "spectrum_for",
     "spectrum_to_json",
     "spectrum_from_json",
 ]
@@ -91,6 +93,19 @@ class Spectrum:
         tiny = clip_tiny_negative * max(top, 1.0)
         eigs[np.abs(eigs) <= tiny] = 0.0
         return cls(eigenvalues=eigs, weights=np.ones_like(eigs), d=eigs.shape[0])
+
+    def multiplicities(self) -> np.ndarray:
+        """Whole number of eigendirections each atom spans, summing to d.
+
+        Weights are rounded cumulatively (half to even), so fractional
+        weights such as pi1 * d of a two-atom measure still fill exactly d
+        directions and integer weights are kept as they are.
+        """
+        return np.diff(np.rint(np.cumsum(self.weights)), prepend=0.0).astype(int)
+
+    def expand(self) -> np.ndarray:
+        """Per-direction eigenvalues: each atom repeated by its multiplicity."""
+        return np.repeat(self.eigenvalues, self.multiplicities())
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,12 +244,59 @@ def make_two_dirac(d: int, pi1: float, sigma1: float, sigma2: float) -> Spectrum
     )
 
 
-def signal_from_vector(eig: EigenPair, theta_star) -> SignalMeasure:
-    """Signal masses (v_i' theta)^2 in the given eigenbasis."""
-    theta = np.asarray(theta_star, dtype=float)
-    if theta.shape != (eig.dim,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({eig.dim},)")
-    return SignalMeasure(masses=(eig.basis.T @ theta) ** 2)
+@dataclass(frozen=True)
+class SpectrumKind:
+    """A named family of spectra: make(d, *required, *optional) builds it.
+
+    Optional parameters left out take ``defaults(d)``.  A kind without
+    ``make`` is read from a spectrum JSON document, not built from
+    parameters.
+    """
+
+    required: tuple[str, ...]
+    optional: tuple[str, ...]
+    defaults: Callable[[int], list[float]]
+    make: Callable[..., Spectrum] | None
+
+    def usage(self, name: str) -> str:
+        """Flag syntax, e.g. 'power_law:alpha[,tau]'."""
+        req = ":" + ",".join(self.required) if self.required else ""
+        opt = "[" + ("," if req else ":") + ",".join(self.optional) + "]" if self.optional else ""
+        return name + req + opt
+
+
+SPECTRUM_KINDS: dict[str, SpectrumKind] = {
+    # The default isotropic level gives unit trace.
+    "isotropic": SpectrumKind((), ("sigma",), lambda d: [1.0 / d], make_isotropic),
+    "inverse_index": SpectrumKind((), (), lambda d: [], make_inverse_index),
+    "power_law": SpectrumKind(("alpha",), ("tau",), lambda d: [1.0], make_power_law),
+    "two_dirac": SpectrumKind(("pi1", "sigma1", "sigma2"), (), lambda d: [], make_two_dirac),
+    "file": SpectrumKind((), (), lambda d: [], None),
+}
+
+
+def check_spectrum_params(kind: str, params) -> None:
+    """Raise ValueError unless kind is known and takes len(params) parameters."""
+    entry = SPECTRUM_KINDS.get(kind)
+    if entry is None:
+        raise ValueError(f"unknown spectrum kind {kind!r}, expected one of {tuple(SPECTRUM_KINDS)}")
+    lo, hi = len(entry.required), len(entry.required) + len(entry.optional)
+    if not lo <= len(params) <= hi:
+        count = str(lo) if lo == hi else f"{lo} to {hi}"
+        raise ValueError(f"{entry.usage(kind)} takes {count} parameter(s), got {len(params)}")
+
+
+def spectrum_for(kind: str, params, d: int) -> Spectrum:
+    """Limit measure of a parametric kind at dimension d, defaults filled in.
+
+    Weights may be fractional (two-Dirac pi1 * d); ``Spectrum.expand`` turns
+    the measure into the d eigenvalues of a concrete covariance.
+    """
+    check_spectrum_params(kind, params)
+    entry = SPECTRUM_KINDS[kind]
+    if entry.make is None:
+        raise ValueError(f"spectrum kind {kind!r} is read from a file, not built from parameters")
+    return entry.make(d, *params, *entry.defaults(d)[len(params) - len(entry.required):])
 
 
 # ---------------------------------------------------------------------------

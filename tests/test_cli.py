@@ -61,6 +61,18 @@ class TestConfig:
         path.write_text(preset.to_json())
         assert load_config(path) == preset
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"spectrum": {"kind": "two_dirac", "params": [0.5]}}, r"^spectrum\.params:"),
+        ({"spectrum": {"kind": "isotropic", "params": [1.0, 2.0]}}, r"^spectrum\.params:"),
+        ({"spectrum": {"kind": "isotropic", "params": ["x"]}}, r"^spectrum\.params\[0\]:"),
+        ({"replications": 2.7}, r"^replications:"),
+        ({"n": True}, r"^n:"),
+        ({"d": True}, r"^d:"),
+    ], ids=["arity_short", "arity_long", "non_numeric", "fractional_reps", "bool_n", "bool_d"])
+    def test_schema_rejects_with_field_path(self, doc, field):
+        with pytest.raises(ConfigError, match=field):
+            SweepConfig.from_dict({"n": 10, "d": 5, **doc})
+
     def test_parse_spectrum_flag(self):
         assert parse_spectrum_flag("isotropic:1") == ("isotropic", [1.0])
         assert parse_spectrum_flag("two_dirac:0.5,1,4") == ("two_dirac", [0.5, 1.0, 4.0])
@@ -185,10 +197,39 @@ class TestMain:
         meta = json.loads((tmp_path / "f3" / "fig3.meta.json").read_text())
         assert meta["preset"] == "fig3"
 
-    def test_usage_errors_exit_one(self, capsys):
+    def test_usage_errors_exit_one(self, capsys, tmp_path):
         assert main(["kappa", "--spectrum", "isotropic:1"]) == 1
         assert main(["theory", "--out", "x.csv"]) == 1
         assert main(["bogus-command"]) == 1
+        # Every command checks a kind's parameter count; kappa has no path
+        # flag for a file spectrum.
+        for spectrum in ("isotropic:1,2", "two_dirac:0.5", "file"):
+            assert main(["kappa", "--spectrum", spectrum, "--gamma", "2"]) == 1
+        assert main([
+            "theory", "--n", "10", "--d", "15", "--spectrum", "isotropic:1,2",
+            "--m-grid", "5", "--out", str(tmp_path / "o.csv"),
+        ]) == 1
+        assert "spectrum.params" in capsys.readouterr().err
+
+    def test_empirical_builds_instance_once(self, tmp_path, monkeypatch):
+        import ddlab.cli
+        import ddlab.empirical
+
+        calls = []
+        original = ddlab.empirical.build_instance
+
+        def counting(config):
+            calls.append(config)
+            return original(config)
+
+        monkeypatch.setattr(ddlab.empirical, "build_instance", counting)
+        monkeypatch.setattr(ddlab.cli, "build_instance", counting)
+        code = main([
+            "empirical", "--n", "12", "--d", "8", "--spectrum", "inverse_index",
+            "--m-grid", "4", "--reps", "2", "--with-theory", "--out", str(tmp_path / "e.csv"),
+        ])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_unreadable_config_exit_one(self, tmp_path):
         missing = tmp_path / "none.json"

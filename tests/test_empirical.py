@@ -103,6 +103,27 @@ class TestBuildDesign:
         assert dev.max() <= 0.1
 
 
+class TestProblemInstance:
+    def test_signal_parseval_total_mass(self):
+        inst = small_instance(d=12, seed=23)
+        theta = inst.theta_star
+        assert inst.signal().total_mass == pytest.approx(float(theta @ theta), rel=1e-10)
+
+    def test_signal_eigenvector_alignment(self):
+        inst = small_instance(d=3, seed=24)
+        object.__setattr__(inst, "theta_star", inst.sigma_basis[:, 0].copy())
+        assert np.allclose(inst.signal().masses, [1.0, 0.0, 0.0], atol=1e-14)
+
+    def test_theta_dimension_mismatch(self):
+        from ddlab.empirical import ProblemInstance
+
+        with pytest.raises(ValueError, match="theta"):
+            ProblemInstance(
+                n=4, d=3, sigma_noise=1.0, sigma_basis=np.eye(3),
+                sigma_eigs=np.ones(3), theta_star=np.ones(4),
+            )
+
+
 class TestInstanceFromFiles:
     def test_file_spectrum_with_aligned_signal(self, tmp_path):
         from ddlab.spectrum import SignalMeasure, Spectrum, spectrum_to_json
@@ -135,6 +156,47 @@ class TestInstanceFromFiles:
             signal_kind="aligned_file", m_grid=[2], mode="theory",
         )
         with pytest.raises(ValueError, match="signal"):
+            build_instance(cfg)
+
+
+class TestInstanceEigenvalues:
+    """The per-direction eigenvalues build_instance draws for each kind."""
+
+    @staticmethod
+    def eigs(kind, params, d):
+        cfg = SweepConfig(
+            n=10, d=d, spectrum_kind=kind, spectrum_params=params, m_grid=[3], mode="theory"
+        )
+        return build_instance(cfg).sigma_eigs
+
+    @pytest.mark.parametrize("params, tau", [([1.5], 1.0), ([2.0, 0.7], 0.7)])
+    def test_power_law_multiset(self, params, tau):
+        d = 12
+        k = np.arange(1, d + 1, dtype=float)
+        expected = tau * (d / k) ** params[0]
+        assert np.array_equal(self.eigs("power_law", params, d), expected)
+
+    def test_two_dirac_rounds_half_to_even(self):
+        # 0.3 * 15 = 4.5 directions at sigma1 = 1: rounds to 4, leaving 11
+        # at sigma2 = 4; eigenvalues come out in descending order.
+        eigs = self.eigs("two_dirac", [0.3, 1.0, 4.0], 15)
+        assert np.array_equal(eigs, np.array([4.0] * 11 + [1.0] * 4))
+
+    @pytest.mark.parametrize("pi1, value", [(0.0, 4.0), (1.0, 1.0)])
+    def test_two_dirac_single_atom_ends(self, pi1, value):
+        eigs = self.eigs("two_dirac", [pi1, 1.0, 4.0], 15)
+        assert np.array_equal(eigs, np.full(15, value))
+
+    def test_file_spectrum_needs_integer_weights(self, tmp_path):
+        from ddlab.spectrum import Spectrum, spectrum_to_json
+
+        spec = Spectrum(eigenvalues=np.array([1.0, 2.0]), weights=np.array([2.5, 1.5]), d=4)
+        path = tmp_path / "fractional.json"
+        path.write_text(spectrum_to_json(spec))
+        cfg = SweepConfig(
+            n=8, d=4, spectrum_kind="file", spectrum_path=str(path), m_grid=[2], mode="theory"
+        )
+        with pytest.raises(ValueError, match="integer"):
             build_instance(cfg)
 
 
@@ -340,15 +402,19 @@ class TestRunReplications:
             mode=mode,
         )
 
+    @staticmethod
+    def run(cfg):
+        return run_replications(cfg, build_instance(cfg))
+
     def test_zero_replications(self):
-        sweep = run_replications(self.config(reps=0))
+        sweep = self.run(self.config(reps=0))
         assert sweep.results == {}
         assert all(a.reps_used == 0 for a in sweep.aggregates)
         assert all(np.isnan(a.bias_mean) for a in sweep.aggregates)
 
     def test_deterministic_stream(self):
-        a = run_replications(self.config())
-        b = run_replications(self.config())
+        a = self.run(self.config())
+        b = self.run(self.config())
         keys = sorted(a.results)
         assert keys == sorted(b.results)
         for key in keys:
@@ -356,9 +422,9 @@ class TestRunReplications:
             assert a.results[key].variance == b.results[key].variance
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
-        base = run_replications(self.config())
+        base = self.run(self.config())
         monkeypatch.setenv("DDLAB_THREADS", "4")
-        threaded = run_replications(self.config())
+        threaded = self.run(self.config())
         for key in base.results:
             assert base.results[key].bias == threaded.results[key].bias
             assert base.results[key].variance == threaded.results[key].variance
@@ -369,7 +435,7 @@ class TestRunReplications:
             spectrum_params=[0.5], lambda_grid=[0.1, 1.0], replications=4,
             sampler="gaussian", master_seed=5, mode="empirical",
         )
-        sweep = run_replications(cfg)
+        sweep = self.run(cfg)
         assert sweep.grid_kind == "lambda"
         assert [a.grid_value for a in sweep.aggregates] == [0.1, 1.0]
         assert all(a.reps_used == 4 for a in sweep.aggregates)
@@ -380,7 +446,7 @@ class TestRunReplications:
         # Variance at m = n/2 should sit near its sigma^2 m/(n-m) equivalent
         # even at this small size.
         cfg = self.config(reps=50, m_grid=(12,), master_seed=11)
-        sweep = run_replications(cfg)
+        sweep = self.run(cfg)
         agg = sweep.aggregates[0]
         assert agg.reps_used + agg.excluded == 50
         assert agg.var_mean == pytest.approx(1.0, rel=0.35)

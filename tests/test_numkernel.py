@@ -1,59 +1,13 @@
 import numpy as np
 import pytest
 
-from ddlab.numkernel import (
-    IndefiniteMatrixError,
-    min_norm_fit,
-    pseudo_inverse,
-    solve_shifted,
-    sym_eig,
-)
-
-
-def random_symmetric(dim, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((dim, dim))
-    return 0.5 * (a + a.T)
+from ddlab.numkernel import IndefiniteMatrixError, pseudo_inverse, solve_shifted
 
 
 def random_spd(dim, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim))
     return a @ a.T + 0.1 * np.eye(dim)
-
-
-class TestSymEig:
-    def test_identity(self):
-        pair = sym_eig(np.eye(3))
-        assert np.allclose(pair.eigenvalues, [1.0, 1.0, 1.0])
-        assert np.allclose(pair.basis.T @ pair.basis, np.eye(3), atol=1e-10)
-
-    def test_rotated_rank_one(self):
-        # diag(2, 0) conjugated by a 45 degree rotation is the all-ones matrix.
-        c = np.cos(np.pi / 4)
-        rot = np.array([[c, -c], [c, c]])
-        a = rot @ np.diag([2.0, 0.0]) @ rot.T
-        pair = sym_eig(a)
-        assert np.allclose(pair.eigenvalues, [2.0, 0.0], atol=1e-12)
-        assert np.allclose(np.abs(pair.basis[:, 0]), [c, c], atol=1e-12)
-        assert np.allclose(np.abs(pair.basis[:, 1]), [c, c], atol=1e-12)
-
-    def test_random_reconstruction(self):
-        a = random_symmetric(8, seed=3)
-        pair = sym_eig(a)
-        rebuilt = pair.basis @ np.diag(pair.eigenvalues) @ pair.basis.T
-        rel = np.linalg.norm(rebuilt - a) / np.linalg.norm(a)
-        assert rel <= 1e-8
-        assert np.allclose(pair.basis.T @ pair.basis, np.eye(8), atol=1e-10)
-        assert np.all(np.diff(pair.eigenvalues) <= 0)
-
-    def test_rejects_nonsquare_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            sym_eig(np.ones((2, 3)))
-        bad = np.eye(2)
-        bad[0, 1] = np.nan
-        with pytest.raises(ValueError):
-            sym_eig(bad)
 
 
 class TestSolveShifted:
@@ -90,45 +44,17 @@ class TestSolveShifted:
         x1 = solve_shifted(a - lam * np.eye(7), lam, rhs)
         assert np.linalg.norm(x0 - x1) <= 1e-9 * np.linalg.norm(x0)
 
-
-class TestMinNormFit:
-    def test_identity_design(self):
-        y = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(min_norm_fit(np.eye(3), y), y)
-
-    def test_single_row_symmetric_split(self):
-        w = min_norm_fit(np.array([[1.0, 1.0]]), np.array([2.0]))
-        assert np.allclose(w, [1.0, 1.0])
-
-    def test_zero_design(self):
-        w = min_norm_fit(np.zeros((4, 6)), np.ones(4))
-        assert np.array_equal(w, np.zeros(6))
-
-    @pytest.mark.parametrize("shape", [(5, 9), (9, 5), (6, 6)])
-    def test_matches_dense_pinv_oracle(self, shape):
-        rng = np.random.default_rng(sum(shape))
-        design = rng.standard_normal(shape)
-        y = rng.standard_normal(shape[0])
-        w = min_norm_fit(design, y)
-        oracle = np.linalg.pinv(design) @ y
-        assert np.linalg.norm(w - oracle) <= 1e-8 * max(1.0, np.linalg.norm(oracle))
-
-    def test_normal_equations_and_null_space(self):
-        rng = np.random.default_rng(9)
-        design = rng.standard_normal((4, 7))  # rank 4, null space dim 3
-        y = rng.standard_normal(4)
-        w = min_norm_fit(design, y)
-        # Normal equations: design'(design w - y) = 0.
-        grad = design.T @ (design @ w - y)
-        assert np.linalg.norm(grad) <= 1e-8 * np.linalg.norm(y)
-        # w is orthogonal to the null space of the design.
-        evals, evecs = np.linalg.eigh(design.T @ design)
-        null = evecs[:, evals < 1e-10 * evals.max()]
-        assert np.linalg.norm(null.T @ w) <= 1e-8 * np.linalg.norm(w)
+    def test_rejects_nonsquare_and_nonfinite(self):
+        with pytest.raises(ValueError, match="square"):
+            solve_shifted(np.ones((2, 3)), 1.0, np.ones(2))
+        bad = np.eye(2)
+        bad[0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_shifted(bad, 1.0, np.ones(2))
 
 
 class TestPseudoInverse:
-    @pytest.mark.parametrize("shape", [(5, 9), (9, 5)])
+    @pytest.mark.parametrize("shape", [(5, 9), (9, 5), (6, 6)])
     def test_matches_numpy(self, shape):
         rng = np.random.default_rng(31)
         a = rng.standard_normal(shape)
@@ -142,3 +68,8 @@ class TestPseudoInverse:
         a = np.hstack([base, base[:, :2]])  # rank 3, five columns
         _, rank = pseudo_inverse(a)
         assert rank == 3
+
+    def test_zero_design(self):
+        pinv, rank = pseudo_inverse(np.zeros((4, 6)))
+        assert rank == 0
+        assert np.array_equal(pinv, np.zeros((6, 4)))

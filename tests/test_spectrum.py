@@ -3,7 +3,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ddlab.numkernel import sym_eig
 from ddlab.spectrum import (
     SignalMeasure,
     Spectrum,
@@ -13,7 +12,6 @@ from ddlab.spectrum import (
     make_isotropic,
     make_power_law,
     make_two_dirac,
-    signal_from_vector,
     signal_functional,
     spectrum_from_json,
     spectrum_to_json,
@@ -149,31 +147,6 @@ class TestBuilders:
             make_two_dirac(10, 1.5, 1.0, 2.0)
         with pytest.raises(ValueError):
             make_two_dirac(10, 0.5, -1.0, 2.0)
-
-
-class TestSignalFromVector:
-    def test_eigenvector_alignment(self):
-        pair = sym_eig(np.diag([3.0, 2.0, 1.0]))
-        theta = pair.basis[:, 0].copy()
-        v = signal_from_vector(pair, theta)
-        assert np.allclose(v.masses, [1.0, 0.0, 0.0], atol=1e-14)
-
-    def test_zero_vector(self):
-        pair = sym_eig(np.eye(3))
-        assert signal_from_vector(pair, np.zeros(3)).total_mass == 0.0
-
-    def test_parseval_total_mass(self):
-        rng = np.random.default_rng(23)
-        a = rng.standard_normal((12, 12))
-        pair = sym_eig(a + a.T)
-        theta = rng.standard_normal(12)
-        v = signal_from_vector(pair, theta)
-        assert v.total_mass == pytest.approx(float(theta @ theta), rel=1e-10)
-
-    def test_dimension_mismatch(self):
-        pair = sym_eig(np.eye(3))
-        with pytest.raises(ValueError):
-            signal_from_vector(pair, np.ones(4))
 
 
 class TestJson:
