@@ -382,9 +382,14 @@ def run_fig2(
 
 def _dims_for_gamma(gamma: float) -> tuple[int, int]:
     """(n, d) with d/n = gamma, scaled so the larger of the two is near 2000."""
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise UsageError(f"--gamma must be finite and positive, got {gamma}")
     frac = Fraction(gamma).limit_denominator(10**6)
     scale = max(1, 2000 // max(frac.numerator, frac.denominator))
-    return frac.denominator * scale, frac.numerator * scale
+    n, d = frac.denominator * scale, frac.numerator * scale
+    if d < 1:
+        raise UsageError(f"--gamma {gamma} is too small: it rounds to d = 0 at n = {n}")
+    return n, d
 
 
 def run_fig3(gammas=(0.5, 1.0, 2.0), lambda_max: float = 3.0, points: int = 25):
@@ -434,50 +439,57 @@ def parse_spectrum_flag(text: str) -> tuple[str, list[float]]:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-def load_config(path) -> SweepConfig:
-    """Load and validate a sweep configuration JSON file."""
+def _read_config_doc(path) -> dict:
+    """The JSON object of a sweep configuration file, not yet validated."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    return SweepConfig.from_json(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config root: expected an object, got {type(doc).__name__}")
+    return doc
+
+
+def load_config(path) -> SweepConfig:
+    """Load and validate a sweep configuration JSON file."""
+    return SweepConfig.from_dict(_read_config_doc(path))
 
 
 def _config_from_args(args, mode: str) -> SweepConfig:
-    if args.config:
-        config = load_config(args.config)
-    else:
-        if args.n is None or args.d is None:
-            raise UsageError("--n and --d are required without --config")
-        config = SweepConfig(n=args.n, d=args.d, mode=mode)
-    # Flags override file values.
-    if args.n is not None:
-        config.n = args.n
-    if args.d is not None:
-        config.d = args.d
-    if args.sigma is not None:
-        config.sigma_noise = args.sigma
+    """Overlay the flags on the --config file's fields and validate once, so
+    defaults such as the unit-trace isotropic level follow the final n and d."""
+    if not args.config and (args.n is None or args.d is None):
+        raise UsageError("--n and --d are required without --config")
+    doc = _read_config_doc(args.config) if args.config else {}
+    flags = {
+        "n": args.n, "d": args.d, "sigma_noise": args.sigma, "replications": args.reps,
+        "sampler": args.sampler, "master_seed": args.master_seed,
+    }
+    for key, value in flags.items():
+        if value is not None:
+            doc[key] = value
     if args.spectrum is not None:
         kind, params = parse_spectrum_flag(args.spectrum)
-        config.spectrum_kind = kind
-        config.spectrum_params = params
+        _sub_object(doc, "spectrum").update(kind=kind, params=params)
     if args.signal_seed is not None:
-        config.signal_seed = args.signal_seed
+        _sub_object(doc, "signal")["seed"] = args.signal_seed
     if args.m_grid is not None:
-        config.m_grid = [int(v) for v in args.m_grid.split(",")]
-        config.lambda_grid = []
+        doc["m_grid"] = [int(v) for v in args.m_grid.split(",")]
+        doc["lambda_grid"] = []
     if args.lambda_grid is not None:
-        config.lambda_grid = [float(v) for v in args.lambda_grid.split(",")]
-        config.m_grid = []
-    if args.reps is not None:
-        config.replications = args.reps
-    if args.sampler is not None:
-        config.sampler = args.sampler
-    if args.master_seed is not None:
-        config.master_seed = args.master_seed
-    config.mode = mode
-    config.validate()
-    return config
+        doc["lambda_grid"] = [float(v) for v in args.lambda_grid.split(",")]
+        doc["m_grid"] = []
+    doc["mode"] = mode
+    return SweepConfig.from_dict(doc)
+
+
+def _sub_object(doc: dict, key: str) -> dict:
+    sub = doc.setdefault(key, {})
+    if not isinstance(sub, dict):
+        raise ConfigError(f"{key}: expected an object")
+    return sub
 
 
 def _add_sweep_flags(sub):
@@ -517,6 +529,8 @@ def _cmd_theory(args) -> int:
 def _cmd_empirical(args) -> int:
     mode = "both" if args.with_theory else "empirical"
     config = _config_from_args(args, mode=mode)
+    if config.replications < 1:
+        raise UsageError(f"--reps must be at least 1, got {config.replications}")
     sweep = _emit_sweep(config, Path(args.out), record_kappa=args.record_kappa, assumptions={})
     if args.per_rep_out:
         write_replication_csv(args.per_rep_out, sweep)

@@ -201,11 +201,3 @@ class SweepConfig:
             if key in doc:
                 kwargs[key] = doc[key]
         return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepConfig":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc}") from exc
-        return cls.from_dict(doc)

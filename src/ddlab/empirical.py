@@ -148,11 +148,6 @@ class ProblemInstance:
         b, e = self.sigma_basis, self.sigma_eigs
         return b @ (np.sqrt(e)[:, None] * b.T)
 
-    def whiten_design(self, x: np.ndarray) -> np.ndarray:
-        """Recover the unit-variance draw Z = X Sigma^(-1/2) from a design."""
-        b, e = self.sigma_basis, self.sigma_eigs
-        return ((x @ b) * (1.0 / np.sqrt(e))[None, :]) @ b.T
-
     # -- measure views ------------------------------------------------------
 
     def spectrum(self) -> Spectrum:
@@ -262,6 +257,17 @@ def build_instance(config: SweepConfig) -> ProblemInstance:
 # Exact conditional risks
 # ---------------------------------------------------------------------------
 
+def _risk_of_map(inst: ProblemInstance, resid: np.ndarray, P: np.ndarray) -> tuple[float, float]:
+    """(resid' Sigma resid, sigma^2 <P, Sigma P>) of an estimator theta_hat = P y.
+
+    With resid the noiseless error P X theta - theta these are the
+    noise-exact bias and variance.
+    """
+    bias = float(resid @ inst.apply_covariance(resid))
+    variance = inst.sigma_noise**2 * float(np.sum(P * inst.apply_covariance(P)))
+    return bias, variance
+
+
 def conditional_risk_projected(
     inst: ProblemInstance, X: np.ndarray, S: np.ndarray, tol: float = DEFAULT_RANK_TOL
 ) -> tuple[float, float]:
@@ -282,10 +288,7 @@ def conditional_risk_projected(
             f"projected design has numerical rank {rank} < {expected} (n={n}, m={m}, d={inst.d})"
         )
     P = S @ pinv_a
-    resid = P @ (X @ inst.theta_star) - inst.theta_star
-    bias = float(resid @ inst.apply_covariance(resid))
-    variance = inst.sigma_noise**2 * float(np.sum(P * inst.apply_covariance(P)))
-    return bias, variance
+    return _risk_of_map(inst, P @ (X @ inst.theta_star) - inst.theta_star, P)
 
 
 def conditional_risk_ridge(
@@ -293,35 +296,24 @@ def conditional_risk_ridge(
 ) -> tuple[float, float]:
     """Noise-exact (bias, variance) of ridge regression given the design.
 
-    variance = (sigma^2/n) tr[Sigma (Shat + lam I)^-2 Shat] and
-    bias = lam^2 theta' (Shat + lam I)^-1 Sigma (Shat + lam I)^-1 theta.
-    At lam = 0 the estimator is the min-norm interpolator, computed through
-    whichever of Shat (d <= n) or the kernel matrix (d > n) is invertible.
+    The fit is theta_hat = P y with P = (X'X + n lam I)^-1 X', obtained from
+    one shifted solve on the smaller Gram matrix; at lam = 0 it is the
+    min-norm interpolator.  When d > n, P = X'(XX' + n lam I)^-1 and the bias
+    comes from the residual P X theta - theta.  When d <= n the same solve
+    also yields g = (X'X + n lam I)^-1 theta, and the residual is -n lam g,
+    which does not cancel at small lam and gives an exact zero bias at
+    lam = 0.
     """
     lam = float(lam)
     if not lam >= 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     n = X.shape[0]
-    sigma2 = inst.sigma_noise**2
-    if lam == 0.0 and inst.d > n:
-        # Min-norm route through the kernel matrix.
-        kernel = X @ X.T
-        g = solve_shifted(kernel, 0.0, X)  # kernel^-1 X, shape (n, d)
-        P = g.T
-        resid = P @ (X @ inst.theta_star) - inst.theta_star
-        bias = float(resid @ inst.apply_covariance(resid))
-        variance = sigma2 * float(np.sum(P * inst.apply_covariance(P)))
-        return bias, variance
-    shat = X.T @ X / n
-    sigma = inst.covariance()
-    w = solve_shifted(shat, lam, shat)  # (Shat+lam)^-1 Shat
-    v = solve_shifted(shat, lam, sigma)  # (Shat+lam)^-1 Sigma
-    variance = sigma2 / n * float(np.sum(w * v.T))
-    if lam == 0.0:
-        return 0.0, variance
-    u = solve_shifted(shat, lam, inst.theta_star)
-    bias = lam**2 * float(u @ (sigma @ u))
-    return bias, variance
+    if inst.d > n:
+        P = solve_shifted(X @ X.T, n * lam, X).T
+        return _risk_of_map(inst, P @ (X @ inst.theta_star) - inst.theta_star, P)
+    sol = solve_shifted(X.T @ X, n * lam, np.column_stack([X.T, inst.theta_star]))
+    g_sigma_g, variance = _risk_of_map(inst, sol[:, n], sol[:, :n])
+    return (n * lam) ** 2 * g_sigma_g, variance
 
 
 def empirical_kappa_lambda(X: np.ndarray, n: int, lam: float) -> float:
@@ -367,15 +359,23 @@ class TraceProbe:
         return abs(self.lhs - self.rhs) / max(abs(self.rhs), 1e-300)
 
 
+def _trace_pair(A: np.ndarray, B: np.ndarray, M: np.ndarray) -> tuple[float, float]:
+    """tr(A M) and tr(A M B M) for symmetric A."""
+    return float(np.sum(A * M)), float(np.sum((A @ M) * (B @ M).T))
+
+
 def probe_trace_equivalents(
     inst: ProblemInstance, X: np.ndarray, A, B, lam: float
 ) -> list[TraceProbe]:
     """Empirical spectral traces against their deterministic equivalents.
 
-    Six pairs are evaluated for symmetric test matrices A, B: linear and
-    quadratic traces of the shrinkage operator Shat (Shat + lam I)^-1, of the
-    resolvent (Shat + lam I)^-1, and of the kernel-side sandwich
-    Z' (Z Sigma Z' + n lam I)^-1 Z.  The equivalents replace Shat by Sigma at
+    Six pairs are evaluated for symmetric test matrices A, B: the linear
+    trace tr(A M) and the quadratic trace tr(A M B M) of three operators M.
+    All three come from one shifted kernel solve, which gives the shrinkage
+    operator W = X'(XX' + n lam I)^-1 X = Shat (Shat + lam I)^-1.  The
+    resolvent (Shat + lam I)^-1 is (I - W)/lam, and the kernel-side sandwich
+    Z'(Z Sigma Z' + n lam I)^-1 Z of the unit-variance draw Z = X Sigma^(-1/2)
+    is Sigma^(-1/2) W Sigma^(-1/2).  The equivalents replace Shat by Sigma at
     the implicit parameter kappa(lam), with the quadratic ones carrying a
     rank-one correction weighted by 1 / (n - df2(kappa)).
     """
@@ -384,26 +384,14 @@ def probe_trace_equivalents(
         raise ValueError(f"lambda must be positive, got {lam}")
     A = as_sym_matrix(A, name="A")
     B = as_sym_matrix(B, name="B")
-    n = X.shape[0]
+    n, d = X.shape
 
-    # Empirical side, in the eigenbasis of the empirical covariance.
-    shat = X.T @ X / n
-    ew, u = np.linalg.eigh(shat)
-    ew = np.maximum(ew, 0.0)
-    au = u.T @ A @ u
-    bu = u.T @ B @ u
-    shrink = ew / (ew + lam)
-    resolv = 1.0 / (ew + lam)
-    lhs_shrink_lin = float(np.sum(np.diag(au) * shrink))
-    lhs_shrink_quad = float(np.sum((au * shrink[None, :]) * (bu * shrink[None, :]).T))
-    lhs_res_lin = float(np.sum(np.diag(au) * resolv))
-    lhs_res_quad = float(np.sum((au * resolv[None, :]) * (bu * resolv[None, :]).T))
-    # Kernel side: recover the unit-variance draw Z from X.
-    z = inst.whiten_design(X)
-    g = solve_shifted(X @ X.T, n * lam, z)
-    wmat = z.T @ g
-    lhs_kernel_lin = float(np.sum(A * wmat))
-    lhs_kernel_quad = float(np.sum((A @ wmat) * (B @ wmat).T))
+    shrink = X.T @ solve_shifted(X @ X.T, n * lam, X)
+    lhs_shrink_lin, lhs_shrink_quad = _trace_pair(A, B, shrink)
+    lhs_res_lin, lhs_res_quad = _trace_pair(A, B, (np.eye(d) - shrink) / lam)
+    b, e = inst.sigma_basis, inst.sigma_eigs
+    inv_root = b @ ((1.0 / np.sqrt(e))[:, None] * b.T)  # Sigma^(-1/2)
+    lhs_kernel_lin, lhs_kernel_quad = _trace_pair(A, B, inv_root @ shrink @ inv_root)
 
     # Deterministic side at kappa(lam).
     spec = inst.spectrum()

@@ -292,6 +292,8 @@ def spectrum_for(kind: str, params, d: int) -> Spectrum:
     Weights may be fractional (two-Dirac pi1 * d); ``Spectrum.expand`` turns
     the measure into the d eigenvalues of a concrete covariance.
     """
+    if d < 1:
+        raise ValueError(f"dimension d must be positive, got {d}")
     check_spectrum_params(kind, params)
     entry = SPECTRUM_KINDS[kind]
     if entry.make is None:

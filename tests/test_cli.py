@@ -31,6 +31,23 @@ class TestConfig:
         assert cfg.mode == "theory"
         assert cfg.m_grid == default_m_grid(40)
 
+    def test_flags_over_file_fill_defaults_at_final_dims(self, tmp_path):
+        def meta_after(doc, *flags):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            out = tmp_path / "o.csv"
+            assert main(["theory", "--config", str(cfg), *flags, "--out", str(out)]) == 0
+            return json.loads(out.with_suffix(".meta.json").read_text())
+
+        meta = meta_after({"n": 10, "d": 5}, "--d", "20", "--n", "40")
+        assert meta["config"]["spectrum"]["params"] == [1.0 / 20]
+        assert meta["normalizations"]["trace_sigma"] == pytest.approx(1.0)
+        assert meta["config"]["m_grid"] == default_m_grid(40)
+        explicit = {"n": 10, "d": 5, "spectrum": {"kind": "isotropic", "params": [0.5]}}
+        meta = meta_after(explicit, "--d", "20")
+        assert meta["config"]["spectrum"]["params"] == [0.5]
+        assert meta["normalizations"]["trace_sigma"] == pytest.approx(10.0)
+
     def test_round_trip_identity(self, tmp_path):
         cfg = SweepConfig(
             n=30, d=60, sigma_noise=0.5, spectrum_kind="two_dirac",
@@ -210,6 +227,17 @@ class TestMain:
             "--m-grid", "5", "--out", str(tmp_path / "o.csv"),
         ]) == 1
         assert "spectrum.params" in capsys.readouterr().err
+        # A gamma that is not finite and positive, or that rounds to d = 0,
+        # and a zero dimension are usage errors, not crashes.
+        for dims in (["--gamma", "inf"], ["--gamma", "0"], ["--gamma", "1e-9"],
+                     ["--n", "10", "--d", "0"]):
+            assert main(["kappa", "--spectrum", "isotropic", *dims]) == 1
+        # A Monte Carlo sweep without replications would write only NA columns.
+        assert main([
+            "empirical", "--n", "10", "--d", "20", "--m-grid", "5,15",
+            "--out", str(tmp_path / "e.csv"),
+        ]) == 1
+        assert "--reps" in capsys.readouterr().err
 
     def test_empirical_builds_instance_once(self, tmp_path, monkeypatch):
         import ddlab.cli

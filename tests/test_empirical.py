@@ -78,6 +78,50 @@ class TestChildSeed:
         assert child_seed(1, 2, 3) != child_seed(1, 3, 2)
 
 
+def svd_ridge_reference(inst, x, lam):
+    """Ridge (bias, variance) from a full SVD of X, no Gram matrix formed.
+
+    theta_hat - theta = -V diag(f) V' theta + P eps with P = V diag(s/(s^2 +
+    n lam)) U'; f = n lam/(s^2 + n lam) on the row space of X and 1 on its
+    null space (also at lam = 0, where ridge becomes min-norm).
+    """
+    n, d = x.shape
+    u, s, vt = np.linalg.svd(x)
+    k = s.size
+    s2 = np.zeros(d)
+    s2[:k] = s**2
+    f = np.ones(d)
+    f[:k] = n * lam / (s2[:k] + n * lam)
+    resid = -vt.T @ (f * (vt @ inst.theta_star))
+    P = vt[:k].T @ ((s / (s**2 + n * lam))[:, None] * u[:, :k].T)
+    sigma = inst.covariance()
+    bias = float(resid @ sigma @ resid)
+    variance = inst.sigma_noise**2 * float(np.sum(P * (sigma @ P)))
+    return bias, variance
+
+
+def eigh_probe_reference(inst, x, A, B, lam):
+    """The six probe left-hand sides through an eigendecomposition of Shat
+    and the whitened draw Z = X Sigma^(-1/2)."""
+    n = x.shape[0]
+    ew, u = np.linalg.eigh(x.T @ x / n)
+    ew = np.maximum(ew, 0.0)
+    au = u.T @ A @ u
+    bu = u.T @ B @ u
+    lhs = {}
+    for name, diag in (("shrink", ew / (ew + lam)), ("resolvent", 1.0 / (ew + lam))):
+        lhs[f"{name}_linear"] = float(np.sum(np.diag(au) * diag))
+        lhs[f"{name}_quadratic"] = float(
+            np.sum((au * diag[None, :]) * (bu * diag[None, :]).T)
+        )
+    b, e = inst.sigma_basis, inst.sigma_eigs
+    z = ((x @ b) / np.sqrt(e)[None, :]) @ b.T
+    wmat = z.T @ np.linalg.solve(x @ x.T + n * lam * np.eye(n), z)
+    lhs["kernel_linear"] = float(np.sum(A * wmat))
+    lhs["kernel_quadratic"] = float(np.sum((A @ wmat) * (B @ wmat).T))
+    return lhs
+
+
 class TestBuildDesign:
     def test_identity_covariance(self):
         inst = small_instance(d=4, eigs=np.ones(4), seed=1)
@@ -264,6 +308,7 @@ class TestConditionalRidge:
             inst.covariance() @ np.linalg.inv(shat)
         )
         assert bias == 0.0
+        assert not np.signbit(bias)  # a -0.0 would print as -0 in the CSV
         assert variance == pytest.approx(oracle, rel=1e-8)
 
     @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
@@ -293,6 +338,16 @@ class TestConditionalRidge:
             coef_map.T @ inst.covariance() @ coef_map
         )
         assert variance == pytest.approx(oracle_var, rel=1e-8)
+
+    @pytest.mark.parametrize("n, d", [(7, 12), (12, 7), (9, 9)])
+    @pytest.mark.parametrize("lam", [0.0, 1e-8, 1e-4, 0.1, 1.0, 1e12])
+    def test_matches_svd_reference(self, n, d, lam):
+        inst = small_instance(n=n, d=d, seed=n * d)
+        x = build_design(inst, sample_matrix(n, d, "gaussian", n + d))
+        bias, variance = conditional_risk_ridge(inst, x, lam)
+        ref_bias, ref_variance = svd_ridge_reference(inst, x, lam)
+        assert bias == pytest.approx(ref_bias, rel=1e-10, abs=0.0)
+        assert variance == pytest.approx(ref_variance, rel=1e-10, abs=0.0)
 
     def test_gaussian_ols_identity_small(self):
         # Exact inverse-Wishart mean: sigma^2 d / (n - d - 1); 300 draws at 4 SE.
@@ -387,10 +442,61 @@ class TestTraceProbes:
         for p in probe_trace_equivalents(inst, x, outer, inst.covariance(), 0.5):
             assert p.rel_gap <= 0.10, (p.name, p.rel_gap)
 
+    @pytest.mark.parametrize("n, d", [(60, 100), (100, 60)])
+    def test_lhs_matches_eigh_reference(self, n, d):
+        inst = small_instance(n=n, d=d, seed=n + d)
+        x = build_design(inst, sample_matrix(n, d, "rademacher", n * d))
+        sym = sample_matrix(d, d, "gaussian", 5)
+        pairs = [
+            (inst.covariance(), np.eye(d)),
+            (np.outer(inst.theta_star, inst.theta_star), inst.covariance()),
+            (sym + sym.T, np.diag(np.linspace(-1.0, 2.0, d))),
+        ]
+        for A, B in pairs:
+            for lam in (0.1, 1.0):
+                ref = eigh_probe_reference(inst, x, A, B, lam)
+                for p in probe_trace_equivalents(inst, x, A, B, lam):
+                    assert p.lhs == pytest.approx(ref[p.name], rel=1e-10), (p.name, lam)
+
     def test_requires_positive_lambda(self, medium_setup):
         inst, x = medium_setup
         with pytest.raises(ValueError):
             probe_trace_equivalents(inst, x, np.eye(800), np.eye(800), 0.0)
+
+
+def test_one_shifted_solve_per_draw(monkeypatch):
+    import ddlab.empirical as emp
+
+    calls = {"solve_shifted": 0, "eigh": 0}
+    solve, eigh = emp.solve_shifted, np.linalg.eigh
+
+    def counting_solve(*args):
+        calls["solve_shifted"] += 1
+        return solve(*args)
+
+    def counting_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def no_dense_covariance(self):
+        raise AssertionError("dense covariance built")
+
+    probe_inst = small_instance(n=30, d=50, seed=91)
+    probe_x = build_design(probe_inst, sample_matrix(30, 50, "rademacher", 92))
+    sigma = probe_inst.covariance()
+    monkeypatch.setattr(emp, "solve_shifted", counting_solve)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(emp.ProblemInstance, "covariance", no_dense_covariance)
+    for n, d in ((8, 13), (13, 8)):
+        inst = small_instance(n=n, d=d, seed=93)
+        x = build_design(inst, sample_matrix(n, d, "gaussian", 94))
+        for lam in (0.0, 0.5):
+            before = calls["solve_shifted"]
+            conditional_risk_ridge(inst, x, lam)
+            assert calls["solve_shifted"] - before == 1, (n, d, lam)
+    calls["solve_shifted"] = 0
+    probe_trace_equivalents(probe_inst, probe_x, sigma, np.eye(50), 0.5)
+    assert calls == {"solve_shifted": 1, "eigh": 0}
 
 
 class TestRunReplications:
