@@ -557,29 +557,27 @@ def _cmd_kappa(args) -> int:
 
 
 def _cmd_probe_traces(args) -> int:
+    lams = [float(v) for v in args.lambdas.split(",")]
+    if not all(0 < lam < math.inf for lam in lams):
+        raise UsageError(f"--lambdas must be finite and positive, got {args.lambdas}")
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
     kind, params = parse_spectrum_flag(args.spectrum)
     config = SweepConfig(
         n=args.n, d=args.d, sigma_noise=1.0, spectrum_kind=kind, spectrum_params=params,
         sampler=args.sampler, master_seed=args.master_seed, mode="probe",
     )
     inst = build_instance(config)
-    sigma = inst.covariance()
-    eye = np.eye(args.d)
-    lams = [float(v) for v in args.lambdas.split(",")]
+    sigma, eye, sqrt_cov = inst.covariance(), np.eye(args.d), inst.sqrt_covariance()
     lines = ["seed,lambda,name,lhs,rhs,rel_gap"]
     worst = 0.0
     for seed_ix in range(args.seeds):
-        z = sample_matrix(
-            args.n, args.d, config.sampler, child_seed(config.master_seed, seed_ix, 0)
-        )
-        x = z @ inst.sqrt_covariance()
-        for lam in lams:
-            for probe in probe_trace_equivalents(inst, x, sigma, eye, lam):
-                worst = max(worst, probe.rel_gap)
-                lines.append(
-                    f"{seed_ix},{_fmt(lam)},{probe.name},{_fmt(probe.lhs)},"
-                    f"{_fmt(probe.rhs)},{_fmt(probe.rel_gap)}"
-                )
+        seed = child_seed(config.master_seed, seed_ix, 0)
+        x = sample_matrix(args.n, args.d, config.sampler, seed) @ sqrt_cov
+        for lam, probes in zip(lams, probe_trace_equivalents(inst, x, sigma, eye, lams)):
+            for p in probes:
+                worst = max(worst, p.rel_gap)
+                lines.append(",".join(map(_fmt, (seed_ix, lam, p.name, p.lhs, p.rhs, p.rel_gap))))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

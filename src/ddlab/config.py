@@ -14,6 +14,7 @@ Schema violations raise ConfigError naming the offending field path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .spectrum import SPECTRUM_KINDS, check_spectrum_params
@@ -46,8 +47,8 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass
@@ -76,8 +77,8 @@ class SweepConfig:
             raise ConfigError(f"n: must be a positive integer, got {self.n!r}")
         if not _is_int(self.d) or self.d < 1:
             raise ConfigError(f"d: must be a positive integer, got {self.d!r}")
-        if not _is_real(self.sigma_noise) or not self.sigma_noise >= 0:
-            raise ConfigError(f"sigma_noise: must be nonnegative, got {self.sigma_noise!r}")
+        if not _is_finite(self.sigma_noise) or self.sigma_noise < 0:
+            raise ConfigError(f"sigma_noise: must be finite and >= 0, got {self.sigma_noise!r}")
         self.sigma_noise = float(self.sigma_noise)
         kind = SPECTRUM_KINDS.get(self.spectrum_kind)
         if kind is None:
@@ -90,8 +91,8 @@ class SweepConfig:
         if self.spectrum_kind == "file" and not self.spectrum_path:
             raise ConfigError("spectrum.path: required when spectrum.kind is 'file'")
         for i, p in enumerate(self.spectrum_params):
-            if not _is_real(p):
-                raise ConfigError(f"spectrum.params[{i}]: must be numeric, got {p!r}")
+            if not _is_finite(p):
+                raise ConfigError(f"spectrum.params[{i}]: must be a finite number, got {p!r}")
         try:
             check_spectrum_params(self.spectrum_kind, self.spectrum_params)
         except ValueError as exc:
@@ -107,8 +108,8 @@ class SweepConfig:
             if not _is_int(m) or m < 1:
                 raise ConfigError(f"m_grid[{i}]: must be a positive integer, got {m!r}")
         for i, lam in enumerate(self.lambda_grid):
-            if not _is_real(lam) or lam < 0:
-                raise ConfigError(f"lambda_grid[{i}]: must be a nonnegative number, got {lam!r}")
+            if not _is_finite(lam) or lam < 0:
+                raise ConfigError(f"lambda_grid[{i}]: must be finite and >= 0, got {lam!r}")
         if not _is_int(self.replications) or self.replications < 0:
             raise ConfigError(
                 f"replications: must be a nonnegative integer, got {self.replications!r}"

@@ -360,76 +360,77 @@ class TraceProbe:
 
 
 def _trace_pair(A: np.ndarray, B: np.ndarray, M: np.ndarray) -> tuple[float, float]:
-    """tr(A M) and tr(A M B M) for symmetric A."""
-    return float(np.sum(A * M)), float(np.sum((A @ M) * (B @ M).T))
+    """tr(A M) and tr(A M B M) for symmetric A, summed over blocks of 256 rows
+    so that no temporary is d x d."""
+    linear = quad = 0.0
+    for lo in range(0, M.shape[0], 256):
+        rows = slice(lo, lo + 256)
+        linear += float(np.sum(A[rows] * M[rows]))
+        quad += float(np.sum((A[rows] @ M) * (B @ M[:, rows]).T))
+    return linear, quad
+
+
+def _operator_traces(a, b, xq, gram, lam: float, inv_root) -> list[tuple[float, float]]:
+    """_trace_pair of the shrink, resolvent and kernel operators, built one at a
+    time; W dies on return, before the caller forms the d x d equivalents."""
+    n, d = xq.shape
+    w = xq.T @ solve_shifted(gram, n * lam, xq)
+    res = -w
+    res.flat[:: d + 1] += 1.0
+    res /= lam
+    pairs = [_trace_pair(a, b, w), _trace_pair(a, b, res)]
+    w *= inv_root[:, None]
+    w *= inv_root
+    return pairs + [_trace_pair(a, b, w)]
 
 
 def probe_trace_equivalents(
-    inst: ProblemInstance, X: np.ndarray, A, B, lam: float
-) -> list[TraceProbe]:
+    inst: ProblemInstance, X: np.ndarray, A, B, lams
+) -> list[list[TraceProbe]]:
     """Empirical spectral traces against their deterministic equivalents.
 
-    Six pairs are evaluated for symmetric test matrices A, B: the linear
-    trace tr(A M) and the quadratic trace tr(A M B M) of three operators M.
-    All three come from one shifted kernel solve, which gives the shrinkage
-    operator W = X'(XX' + n lam I)^-1 X = Shat (Shat + lam I)^-1.  The
-    resolvent (Shat + lam I)^-1 is (I - W)/lam, and the kernel-side sandwich
-    Z'(Z Sigma Z' + n lam I)^-1 Z of the unit-variance draw Z = X Sigma^(-1/2)
-    is Sigma^(-1/2) W Sigma^(-1/2).  The equivalents replace Shat by Sigma at
-    the implicit parameter kappa(lam), with the quadratic ones carrying a
-    rank-one correction weighted by 1 / (n - df2(kappa)).
+    For each penalty in ``lams``, in input order, six pairs for symmetric A, B:
+    tr(A M) and tr(A M B M) of three operators M, all in Sigma's eigenbasis
+    (eigenvalues e), into which A, B and X are rotated once.  One shifted
+    kernel solve per penalty gives the shrinkage W = X'(XX' + n lam I)^-1 X =
+    Shat (Shat + lam I)^-1; the resolvent (Shat + lam I)^-1 is (I - W)/lam,
+    and the kernel-side Z'(Z Sigma Z' + n lam I)^-1 Z of the draw
+    Z = X Sigma^(-1/2) is W scaled by e^(-1/2) on both sides.  The
+    equivalents replace Shat by Sigma at kappa(lam), so they are diagonal;
+    the quadratic ones add a rank-one correction weighted by 1/(n - df2(kappa)).
     """
-    lam = float(lam)
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    A = as_sym_matrix(A, name="A")
-    B = as_sym_matrix(B, name="B")
-    n, d = X.shape
-
-    shrink = X.T @ solve_shifted(X @ X.T, n * lam, X)
-    lhs_shrink_lin, lhs_shrink_quad = _trace_pair(A, B, shrink)
-    lhs_res_lin, lhs_res_quad = _trace_pair(A, B, (np.eye(d) - shrink) / lam)
-    b, e = inst.sigma_basis, inst.sigma_eigs
-    inv_root = b @ ((1.0 / np.sqrt(e))[:, None] * b.T)  # Sigma^(-1/2)
-    lhs_kernel_lin, lhs_kernel_quad = _trace_pair(A, B, inv_root @ shrink @ inv_root)
-
-    # Deterministic side at kappa(lam).
+    lams = [float(lam) for lam in lams]
+    if not all(0 < lam < math.inf for lam in lams):
+        raise ValueError(f"lambdas must be finite and positive, got {lams}")
+    q, e = inst.sigma_basis, inst.sigma_eigs
+    a = q.T @ as_sym_matrix(A, name="A") @ q
+    b = q.T @ as_sym_matrix(B, name="B") @ q
+    xq, gram, n = X @ q, X @ X.T, X.shape[0]
     spec = inst.spectrum()
-    kappa = kappa_of_lambda(spec, n, lam).kappa
-    e = inst.sigma_eigs
-    q = inst.sigma_basis
-    aq = q.T @ A @ q
-    bq = q.T @ B @ q
-    sh = e / (e + kappa)
-    rs = 1.0 / (e + kappa)
-    corr = 1.0 / (n - df2(spec, kappa))
-    a_sig = float(np.sum(np.diag(aq) * e * rs**2))
-    b_sig = float(np.sum(np.diag(bq) * e * rs**2))
-    a_plain = float(np.sum(np.diag(aq) * rs**2))
-    b_plain = float(np.sum(np.diag(bq) * rs**2))
-    rhs_shrink_lin = float(np.sum(np.diag(aq) * sh))
-    rhs_shrink_quad = (
-        float(np.sum((aq * sh[None, :]) * (bq * sh[None, :]).T))
-        + kappa**2 * a_sig * b_sig * corr
-    )
-    rhs_res_lin = kappa / lam * float(np.sum(np.diag(aq) * rs))
-    rhs_res_quad = (kappa**2 / lam**2) * (
-        float(np.sum((aq * rs[None, :]) * (bq * rs[None, :]).T)) + a_sig * b_sig * corr
-    )
-    rhs_kernel_lin = float(np.sum(np.diag(aq) * rs))
-    rhs_kernel_quad = (
-        float(np.sum((aq * rs[None, :]) * (bq * rs[None, :]).T))
-        + kappa**2 * a_plain * b_plain * corr
-    )
-
-    return [
-        TraceProbe("shrink_linear", lhs_shrink_lin, rhs_shrink_lin),
-        TraceProbe("shrink_quadratic", lhs_shrink_quad, rhs_shrink_quad),
-        TraceProbe("resolvent_linear", lhs_res_lin, rhs_res_lin),
-        TraceProbe("resolvent_quadratic", lhs_res_quad, rhs_res_quad),
-        TraceProbe("kernel_linear", lhs_kernel_lin, rhs_kernel_lin),
-        TraceProbe("kernel_quadratic", lhs_kernel_quad, rhs_kernel_quad),
-    ]
+    results = []
+    for lam in lams:
+        kappa = kappa_of_lambda(spec, n, lam).kappa
+        rs = 1.0 / (e + kappa)
+        corr = 1.0 / (n - df2(spec, kappa))
+        # Per operator: its equivalent's diagonal, the scales of the linear and
+        # quadratic equivalents, and the weight and eigenvalue tilt p of the
+        # rank-one correction, a product of two tr(A Sigma^p (Sigma + kappa I)^-2).
+        equivalents = (
+            ("shrink", e / (e + kappa), 1.0, 1.0, kappa**2, e),
+            ("resolvent", rs, kappa / lam, kappa**2 / lam**2, 1.0, e),
+            ("kernel", rs, 1.0, 1.0, kappa**2, 1.0),
+        )
+        probes = []
+        rows = zip(_operator_traces(a, b, xq, gram, lam, 1.0 / np.sqrt(e)), equivalents)
+        for (lhs_lin, lhs_quad), (name, diag, lin_scale, quad_scale, weight, tilt) in rows:
+            ca, cb = (float(np.sum(np.diag(m) * tilt * rs**2)) for m in (a, b))
+            quad = float(np.sum((a * diag) * (b * diag).T)) + weight * ca * cb * corr
+            probes += [
+                TraceProbe(f"{name}_linear", lhs_lin, lin_scale * float(np.sum(np.diag(a) * diag))),
+                TraceProbe(f"{name}_quadratic", lhs_quad, quad_scale * quad),
+            ]
+        results.append(probes)
+    return results
 
 
 # ---------------------------------------------------------------------------

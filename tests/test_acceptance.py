@@ -155,16 +155,16 @@ def test_criterion_4_trace_equivalent_probes():
     failures = []
     for config in configs:
         inst = build_instance(config)
-        sigma = inst.covariance()
-        eye = np.eye(config.d)
+        sigma, eye, sqrt_cov = inst.covariance(), np.eye(config.d), inst.sqrt_covariance()
         gaps: dict[tuple[float, str], list[float]] = {}
+        lams = (0.1, 1.0)
         for seed_ix in range(10):
             z = sample_matrix(
                 config.n, config.d, "rademacher", child_seed(config.master_seed, seed_ix)
             )
-            x = z @ inst.sqrt_covariance()
-            for lam in (0.1, 1.0):
-                for probe in probe_trace_equivalents(inst, x, sigma, eye, lam):
+            x = z @ sqrt_cov
+            for lam, probes in zip(lams, probe_trace_equivalents(inst, x, sigma, eye, lams)):
+                for probe in probes:
                     gaps.setdefault((lam, probe.name), []).append(probe.rel_gap)
                     if probe.rel_gap > 0.05:
                         failures.append((config.d, lam, probe.name, probe.rel_gap))

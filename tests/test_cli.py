@@ -85,7 +85,15 @@ class TestConfig:
         ({"replications": 2.7}, r"^replications:"),
         ({"n": True}, r"^n:"),
         ({"d": True}, r"^d:"),
-    ], ids=["arity_short", "arity_long", "non_numeric", "fractional_reps", "bool_n", "bool_d"])
+        ({"sigma_noise": math.inf}, r"^sigma_noise:"),
+        ({"sigma_noise": math.nan}, r"^sigma_noise:"),
+        ({"lambda_grid": [0.1, math.inf]}, r"^lambda_grid\[1\]:"),
+        ({"lambda_grid": [math.nan]}, r"^lambda_grid\[0\]:"),
+        ({"spectrum": {"kind": "isotropic", "params": [math.inf]}}, r"^spectrum\.params\[0\]:"),
+        ({"spectrum": {"kind": "two_dirac", "params": [0.5, 1.0, math.nan]}},
+         r"^spectrum\.params\[2\]:"),
+    ], ids=["arity_short", "arity_long", "non_numeric", "fractional_reps", "bool_n", "bool_d",
+            "inf_sigma", "nan_sigma", "inf_lambda", "nan_lambda", "inf_param", "nan_param"])
     def test_schema_rejects_with_field_path(self, doc, field):
         with pytest.raises(ConfigError, match=field):
             SweepConfig.from_dict({"n": 10, "d": 5, **doc})
@@ -214,7 +222,7 @@ class TestMain:
         meta = json.loads((tmp_path / "f3" / "fig3.meta.json").read_text())
         assert meta["preset"] == "fig3"
 
-    def test_usage_errors_exit_one(self, capsys, tmp_path):
+    def test_usage_errors_exit_one(self, capsys, tmp_path, monkeypatch):
         assert main(["kappa", "--spectrum", "isotropic:1"]) == 1
         assert main(["theory", "--out", "x.csv"]) == 1
         assert main(["bogus-command"]) == 1
@@ -238,6 +246,29 @@ class TestMain:
             "--out", str(tmp_path / "e.csv"),
         ]) == 1
         assert "--reps" in capsys.readouterr().err
+        # Non-finite numbers are rejected at the schema, naming the field.
+        for flags, field in ((["--lambda-grid", "inf"], "lambda_grid[0]"),
+                             (["--lambda-grid", "0.1,nan"], "lambda_grid[1]"),
+                             (["--sigma", "inf"], "sigma_noise"),
+                             (["--spectrum", "isotropic:inf"], "spectrum.params[0]")):
+            for command in (["theory"], ["empirical", "--reps", "2"]):
+                assert main([
+                    *command, "--n", "20", "--d", "40", *flags, "--out", str(tmp_path / "n.csv"),
+                ]) == 1, (command, flags)
+                assert field in capsys.readouterr().err
+        # probe-traces checks its flags before building the instance.
+        def no_build(config):
+            raise AssertionError("instance built before the flags were checked")
+
+        monkeypatch.setattr("ddlab.cli.build_instance", no_build)
+        bad = [("--seeds", v) for v in ("0", "-1")]
+        bad += [("--lambdas", v) for v in ("inf", "0.1,nan", "0", "-1")]
+        for flag, value in bad:
+            assert main([
+                "probe-traces", "--n", "20", "--d", "40", flag, value,
+                "--out", str(tmp_path / "p.csv"),
+            ]) == 1, (flag, value)
+            assert flag in capsys.readouterr().err
 
     def test_empirical_builds_instance_once(self, tmp_path, monkeypatch):
         import ddlab.cli

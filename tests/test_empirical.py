@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.stats
 
 from ddlab.config import SweepConfig
@@ -418,9 +419,8 @@ class TestTraceProbes:
     def test_identity_pair_reduces_to_df(self, medium_setup):
         inst, x = medium_setup
         lam = 0.5
-        probes = {p.name: p for p in probe_trace_equivalents(
-            inst, x, np.eye(800), np.eye(800), lam
-        )}
+        [probes] = probe_trace_equivalents(inst, x, np.eye(800), np.eye(800), [lam])
+        probes = {p.name: p for p in probes}
         # The linear shrink probe is exactly the empirical df1 against df1(kappa).
         shat_eigs = np.linalg.eigvalsh(x.T @ x / 800)
         df1_hat = float(np.sum(shat_eigs / (shat_eigs + lam)))
@@ -429,20 +429,22 @@ class TestTraceProbes:
 
     def test_all_gaps_small_sigma_identity_pair(self, medium_setup):
         inst, x = medium_setup
-        for lam in (0.5, 1.0):
-            for p in probe_trace_equivalents(
-                inst, x, inst.covariance(), np.eye(800), lam
-            ):
+        lams = (0.5, 1.0)
+        for lam, probes in zip(lams, probe_trace_equivalents(
+            inst, x, inst.covariance(), np.eye(800), lams
+        )):
+            for p in probes:
                 assert p.rel_gap <= 0.05, (p.name, lam, p.rel_gap)
 
     def test_rank_one_signal_pair(self, medium_setup):
         # The pieces of the ridge bias derivation: A = theta theta', B = Sigma.
         inst, x = medium_setup
         outer = np.outer(inst.theta_star, inst.theta_star)
-        for p in probe_trace_equivalents(inst, x, outer, inst.covariance(), 0.5):
+        [probes] = probe_trace_equivalents(inst, x, outer, inst.covariance(), [0.5])
+        for p in probes:
             assert p.rel_gap <= 0.10, (p.name, p.rel_gap)
 
-    @pytest.mark.parametrize("n, d", [(60, 100), (100, 60)])
+    @pytest.mark.parametrize("n, d", [(60, 100), (100, 60), (80, 80)])
     def test_lhs_matches_eigh_reference(self, n, d):
         inst = small_instance(n=n, d=d, seed=n + d)
         x = build_design(inst, sample_matrix(n, d, "rademacher", n * d))
@@ -452,16 +454,49 @@ class TestTraceProbes:
             (np.outer(inst.theta_star, inst.theta_star), inst.covariance()),
             (sym + sym.T, np.diag(np.linspace(-1.0, 2.0, d))),
         ]
+        lams = (0.1, 1.0)
         for A, B in pairs:
-            for lam in (0.1, 1.0):
+            for lam, probes in zip(lams, probe_trace_equivalents(inst, x, A, B, lams), strict=True):
                 ref = eigh_probe_reference(inst, x, A, B, lam)
-                for p in probe_trace_equivalents(inst, x, A, B, lam):
+                for p in probes:
                     assert p.lhs == pytest.approx(ref[p.name], rel=1e-10), (p.name, lam)
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0])
+    def test_rhs_matches_two_atom_sums(self, lam):
+        # Sigma with d/2 eigenvalues at 1 and d/2 at 4, A = Sigma, B = I: in
+        # Sigma's eigenbasis every equivalent is a sum over the two atoms.
+        n, d = 60, 100
+        atoms, mass = np.array([1.0, 4.0]), np.array([d / 2, d / 2])
+        inst = small_instance(n=n, d=d, seed=17, eigs=np.repeat(atoms, d // 2))
+        x = build_design(inst, sample_matrix(n, d, "gaussian", 18))
+        [probes] = probe_trace_equivalents(inst, x, inst.covariance(), np.eye(d), [lam])
+
+        def lam_of(k):
+            return k * (1.0 - np.sum(mass * atoms / (atoms + k)) / n) - lam
+
+        kappa = scipy.optimize.brentq(lam_of, lam, lam + np.sum(mass * atoms) / n + 1.0,
+                                      xtol=1e-16, rtol=4 * np.finfo(float).eps)
+        rs = 1.0 / (atoms + kappa)
+        corr = 1.0 / (n - np.sum(mass * (atoms * rs) ** 2))
+        a_sig, b_sig = np.sum(mass * atoms**2 * rs**2), np.sum(mass * atoms * rs**2)
+        b_plain = np.sum(mass * rs**2)
+        expected = {
+            "shrink_linear": np.sum(mass * atoms**2 * rs),
+            "shrink_quadratic": np.sum(mass * atoms**3 * rs**2) + kappa**2 * a_sig * b_sig * corr,
+            "resolvent_linear": kappa / lam * np.sum(mass * atoms * rs),
+            "resolvent_quadratic": (kappa / lam) ** 2 * (b_sig + a_sig * b_sig * corr),
+            "kernel_linear": np.sum(mass * atoms * rs),
+            "kernel_quadratic": b_sig + kappa**2 * b_sig * b_plain * corr,
+        }
+        assert [p.name for p in probes] == list(expected)
+        for p in probes:
+            assert p.rhs == pytest.approx(expected[p.name], rel=1e-12), p.name
 
     def test_requires_positive_lambda(self, medium_setup):
         inst, x = medium_setup
-        with pytest.raises(ValueError):
-            probe_trace_equivalents(inst, x, np.eye(800), np.eye(800), 0.0)
+        for lams in ([0.0], [0.5, np.inf], [np.nan]):
+            with pytest.raises(ValueError):
+                probe_trace_equivalents(inst, x, np.eye(800), np.eye(800), lams)
 
 
 def test_one_shifted_solve_per_draw(monkeypatch):
@@ -494,9 +529,11 @@ def test_one_shifted_solve_per_draw(monkeypatch):
             before = calls["solve_shifted"]
             conditional_risk_ridge(inst, x, lam)
             assert calls["solve_shifted"] - before == 1, (n, d, lam)
-    calls["solve_shifted"] = 0
-    probe_trace_equivalents(probe_inst, probe_x, sigma, np.eye(50), 0.5)
-    assert calls == {"solve_shifted": 1, "eigh": 0}
+    for lams in ((0.5,), (0.1, 0.5, 1.0)):
+        calls["solve_shifted"] = 0
+        probes = probe_trace_equivalents(probe_inst, probe_x, sigma, np.eye(50), lams)
+        assert len(probes) == len(lams)
+        assert calls == {"solve_shifted": len(lams), "eigh": 0}
 
 
 class TestRunReplications:

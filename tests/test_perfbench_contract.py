@@ -1,8 +1,9 @@
-"""The benchmark's tracing contract: every span it names exists in ddlab.
+"""The benchmark's contract with ddlab: its spans and its commands exist.
 
-perfbench wraps library functions by (module, attribute) and each workload
-lists the spans it must record.  A renamed or deleted function would
-otherwise surface only as a crashed traced benchmark run.
+perfbench wraps library functions by (module, attribute), each workload
+lists the spans it must record, and each workload runs ddlab CLI commands.
+A renamed or deleted function, or a renamed or dropped flag, would
+otherwise surface only as a crashed benchmark run.
 """
 
 import importlib
@@ -11,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from ddlab import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -25,7 +28,16 @@ def _load(name: str):
 
 
 TRACED = _load("tracing").TRACED
-WORKLOADS = _load("workloads").WORKLOADS
+_workloads = _load("workloads")
+WORKLOADS = _workloads.WORKLOADS
+
+# The subcommand handler each workload's commands must reach.
+HANDLERS = {
+    "mc_projected": cli._cmd_empirical,
+    "mc_ridge": cli._cmd_empirical,
+    "probes": cli._cmd_probe_traces,
+    "theory_grid": cli._cmd_theory,
+}
 
 
 @pytest.mark.parametrize("span", sorted(TRACED))
@@ -38,3 +50,12 @@ def test_traced_function_resolves(span):
 def test_workload_layers_are_traced(workload):
     missing = set(WORKLOADS[workload].layers) - set(TRACED)
     assert not missing, (workload, sorted(missing))
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_workload_commands_parse(workload):
+    commands = WORKLOADS[workload].commands(_workloads.Inputs.from_seed(0))
+    assert commands, workload
+    for command in commands:
+        args = cli.build_parser().parse_args(command.argv)
+        assert args.handler is HANDLERS[workload], (workload, command.argv[0])
