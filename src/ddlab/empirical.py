@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
+from scipy.linalg.lapack import dormqr
 
 from .config import SweepConfig
 from .numkernel import (
@@ -31,6 +34,7 @@ from .spectrum import SignalMeasure, Spectrum, df2, spectrum_for, spectrum_from_
 
 __all__ = [
     "ProblemInstance",
+    "SeededRotation",
     "ReplicationResult",
     "GridAggregate",
     "SweepEmpirical",
@@ -102,35 +106,117 @@ def sample_matrix(rows: int, cols: int, sampler: str, seed: int) -> np.ndarray:
     raise ValueError(f"unknown sampler {sampler!r}")
 
 
-@dataclass(frozen=True, eq=False)
+class SeededRotation:
+    """Seeded uniformly random d x d orthogonal matrix Q, kept as Householder
+    reflectors until a caller needs it as a matrix.
+
+    Q is the Q factor of a seeded Gaussian draw G = QR, column signs fixed by
+    the diagonal of R.  The factorization is LAPACK's raw one (dgeqrf), and
+    Q or Q' reaches a vector through the reflectors in O(d^2) (dormqr).
+    """
+
+    def __init__(self, d: int, seed: int):
+        # A Fortran-ordered G gives the same factors as a C-ordered one, and
+        # gives them in Fortran order, which dormqr reads without a copy.
+        g = np.asfortranarray(np.random.default_rng(seed).standard_normal((d, d)))
+        h, self.tau = np.linalg.qr(g, mode="raw")
+        # LAPACK layout: R on and above the diagonal, the reflectors below it.
+        self.reflectors = h.T
+        self.signs = np.sign(np.diag(self.reflectors))
+
+    def apply(self, v: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Q v, or Q' v when transpose is set."""
+        v = np.asarray(v, dtype=float)
+        if not transpose:
+            v = self.signs * v
+        # The minimal workspace (one column) selects the unblocked dorm2r,
+        # which reads each reflector once: the cheapest form for one vector.
+        out, _, info = dormqr(
+            "L", "T" if transpose else "N", self.reflectors, self.tau, v[:, None], lwork=1
+        )
+        if info != 0:
+            raise NumericalError(f"dormqr failed with info {info}")
+        return self.signs * out[:, 0] if transpose else out[:, 0]
+
+    def matrix(self) -> np.ndarray:
+        """Q as a d x d array, bit-identical to np.linalg.qr(G)[0] * signs.
+
+        np.linalg.qr forms Q with this gufunc (LAPACK dorgqr, its workspace
+        queried, so blocked) from the same raw factors; scipy's dorgqr links
+        another OpenBLAS and differs from it in the last bits under threads.
+        """
+        q = _umath_linalg.qr_reduced(self.reflectors, self.tau, signature="dd->d")
+        q *= self.signs
+        return q
+
+
 class ProblemInstance:
-    """One concrete prediction problem under the i.i.d. design model."""
+    """One concrete prediction problem under the i.i.d. design model.
 
-    n: int
-    d: int
-    sigma_noise: float
-    sigma_basis: np.ndarray
-    sigma_eigs: np.ndarray
-    theta_star: np.ndarray
+    Sigma = Q diag(sigma_eigs) Q'.  The eigenbasis is given either as the
+    d x d matrix Q or as a SeededRotation, which is formed into a matrix
+    only on the first covariance action; the target's eigen-coordinates
+    Q' theta_star are computed once, here, and serve the signal measure and
+    the signal strength.  Instances are immutable.
+    """
 
-    def __post_init__(self):
-        basis = np.asarray(self.sigma_basis, dtype=float)
-        eigs = np.asarray(self.sigma_eigs, dtype=float)
-        theta = np.asarray(self.theta_star, dtype=float)
-        if basis.shape != (self.d, self.d):
-            raise ValueError(f"basis has shape {basis.shape}, expected ({self.d}, {self.d})")
-        if eigs.shape != (self.d,) or theta.shape != (self.d,):
+    def __init__(
+        self,
+        n: int,
+        d: int,
+        sigma_noise: float,
+        sigma_basis,
+        sigma_eigs: np.ndarray,
+        theta_star: np.ndarray,
+        signal_coords: np.ndarray | None = None,
+    ):
+        """``signal_coords`` is Q' theta_star when the caller already has it."""
+        eigs = np.asarray(sigma_eigs, dtype=float)
+        theta = np.asarray(theta_star, dtype=float)
+        if isinstance(sigma_basis, SeededRotation):
+            rotation, basis, shape = sigma_basis, None, sigma_basis.reflectors.shape
+        else:
+            rotation, basis = None, np.asarray(sigma_basis, dtype=float)
+            shape = basis.shape
+        if shape != (d, d):
+            raise ValueError(f"basis has shape {shape}, expected ({d}, {d})")
+        if eigs.shape != (d,) or theta.shape != (d,):
             raise ValueError("eigenvalues and theta must be d-vectors")
         if (eigs <= 0).any():
             raise ValueError("covariance eigenvalues must be positive")
-        gram = basis.T @ basis
-        if not np.allclose(gram, np.eye(self.d), atol=1e-8):
-            raise ValueError("basis columns are not orthonormal")
-        if not self.sigma_noise >= 0:
-            raise ValueError(f"noise level must be nonnegative, got {self.sigma_noise}")
-        object.__setattr__(self, "sigma_basis", basis)
-        object.__setattr__(self, "sigma_eigs", eigs)
-        object.__setattr__(self, "theta_star", theta)
+        if basis is not None:
+            _check_orthonormal(basis)
+        if not sigma_noise >= 0:
+            raise ValueError(f"noise level must be nonnegative, got {sigma_noise}")
+        if signal_coords is None and basis is not None:
+            signal_coords = basis.T @ theta
+        elif signal_coords is None:
+            signal_coords = rotation.apply(theta, transpose=True)
+        coords = np.asarray(signal_coords, dtype=float)
+        if rotation is not None:
+            # O(d) stand-in for the orthonormality check of a formed basis.
+            norm = np.linalg.norm(theta)
+            if not abs(np.linalg.norm(coords) - norm) <= 1e-10 * norm:
+                raise ValueError("basis columns are not orthonormal")
+        self.__dict__.update(
+            n=n, d=d, sigma_noise=sigma_noise, sigma_eigs=eigs, theta_star=theta,
+            _coords=coords, _basis=basis, _rotation=rotation, _basis_lock=threading.Lock(),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ProblemInstance is immutable; cannot set {name!r}")
+
+    @property
+    def sigma_basis(self) -> np.ndarray:
+        """The eigenbasis Q as a d x d matrix, formed on first use."""
+        if self._basis is None:
+            with self._basis_lock:
+                if self._basis is None:
+                    basis = self._rotation.matrix()
+                    _check_orthonormal(basis)
+                    # The reflectors are d x d as well; Q replaces them.
+                    self.__dict__.update(_basis=basis, _rotation=None)
+        return self._basis
 
     # -- covariance actions (never form Sigma unless asked) ----------------
 
@@ -154,11 +240,16 @@ class ProblemInstance:
         return Spectrum.from_eigenvalues(self.sigma_eigs)
 
     def signal(self) -> SignalMeasure:
-        return SignalMeasure(masses=(self.sigma_basis.T @ self.theta_star) ** 2)
+        return SignalMeasure(masses=self._coords**2)
 
     def signal_strength(self) -> float:
         """theta' Sigma theta, the excess risk of predicting zero."""
-        return float(self.theta_star @ self.apply_covariance(self.theta_star))
+        return float(self.sigma_eigs @ self._coords**2)
+
+
+def _check_orthonormal(basis: np.ndarray) -> None:
+    if not np.allclose(basis.T @ basis, np.eye(basis.shape[0]), atol=1e-8):
+        raise ValueError("basis columns are not orthonormal")
 
 
 def build_design(inst: ProblemInstance, z: np.ndarray) -> np.ndarray:
@@ -174,27 +265,22 @@ def build_design(inst: ProblemInstance, z: np.ndarray) -> np.ndarray:
 # Instance construction from a sweep configuration
 # ---------------------------------------------------------------------------
 
-def _seeded_basis(d: int, seed: int) -> np.ndarray:
-    """Uniformly random d x d orthogonal matrix: QR of a seeded Gaussian draw,
-    column signs fixed by the diagonal of R."""
-    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
-    q *= np.sign(np.diag(r))[None, :]
-    return q
-
-
 def seeded_instance(
     n: int, sigma_noise: float, eigs: np.ndarray, basis_seed: int, theta_seed: int
 ) -> ProblemInstance:
     """Instance with a seeded random eigenbasis and a seeded Gaussian target.
 
-    The target is normalized to unit signal strength theta' Sigma theta = 1.
+    The target is normalized to unit signal strength theta' Sigma theta = 1,
+    computed from its eigen-coordinates; the basis stays unformed.
     """
     d = eigs.shape[0]
-    q = _seeded_basis(d, basis_seed)
+    rotation = SeededRotation(d, basis_seed)
     theta = np.random.default_rng(theta_seed).standard_normal(d)
-    theta = theta / math.sqrt(theta @ (q @ (eigs * (q.T @ theta))))
+    coords = rotation.apply(theta, transpose=True)
+    scale = math.sqrt(float(eigs @ coords**2))
     return ProblemInstance(
-        n=n, d=d, sigma_noise=sigma_noise, sigma_basis=q, sigma_eigs=eigs, theta_star=theta
+        n=n, d=d, sigma_noise=sigma_noise, sigma_basis=rotation, sigma_eigs=eigs,
+        theta_star=theta / scale, signal_coords=coords / scale,
     )
 
 
@@ -208,7 +294,9 @@ def build_instance(config: SweepConfig) -> ProblemInstance:
 
     The eigenbasis is a seeded uniformly random orthogonal matrix and the
     target coefficients are seeded as well, so the instance is a pure
-    function of the configuration.
+    function of the configuration.  The basis is held as a SeededRotation,
+    so a theory-only sweep, which reads the eigenvalues and the signal
+    masses alone, never forms the d x d matrix.
     """
     d = config.d
     if config.spectrum_kind == "file":
@@ -242,14 +330,16 @@ def build_instance(config: SweepConfig) -> ProblemInstance:
     file_order = np.argsort(file_eigs)[::-1]
     if not np.allclose(file_eigs[file_order], eigs, rtol=1e-9, atol=0.0):
         raise ValueError("aligned signal file does not match the spectrum")
-    q = _seeded_basis(d, basis_seed)
+    rotation = SeededRotation(d, basis_seed)
+    coords = np.sqrt(per_direction[file_order])
     return ProblemInstance(
         n=config.n,
         d=d,
         sigma_noise=config.sigma_noise,
-        sigma_basis=q,
+        sigma_basis=rotation,
         sigma_eigs=eigs,
-        theta_star=q @ np.sqrt(per_direction[file_order]),
+        theta_star=rotation.apply(coords),
+        signal_coords=coords,
     )
 
 

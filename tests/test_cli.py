@@ -92,8 +92,12 @@ class TestConfig:
         ({"spectrum": {"kind": "isotropic", "params": [math.inf]}}, r"^spectrum\.params\[0\]:"),
         ({"spectrum": {"kind": "two_dirac", "params": [0.5, 1.0, math.nan]}},
          r"^spectrum\.params\[2\]:"),
+        ({"sigma_noise": 10**400}, r"^sigma_noise:"),
+        ({"lambda_grid": [0.1, 10**400]}, r"^lambda_grid\[1\]:"),
+        ({"spectrum": {"kind": "isotropic", "params": [10**400]}}, r"^spectrum\.params\[0\]:"),
     ], ids=["arity_short", "arity_long", "non_numeric", "fractional_reps", "bool_n", "bool_d",
-            "inf_sigma", "nan_sigma", "inf_lambda", "nan_lambda", "inf_param", "nan_param"])
+            "inf_sigma", "nan_sigma", "inf_lambda", "nan_lambda", "inf_param", "nan_param",
+            "huge_int_sigma", "huge_int_lambda", "huge_int_param"])
     def test_schema_rejects_with_field_path(self, doc, field):
         with pytest.raises(ConfigError, match=field):
             SweepConfig.from_dict({"n": 10, "d": 5, **doc})
@@ -281,21 +285,60 @@ class TestMain:
             calls.append(config)
             return original(config)
 
+        formed = []
+        matrix = ddlab.empirical.SeededRotation.matrix
+
+        def counting_matrix(self):
+            formed.append(self)
+            return matrix(self)
+
         monkeypatch.setattr(ddlab.empirical, "build_instance", counting)
         monkeypatch.setattr(ddlab.cli, "build_instance", counting)
+        monkeypatch.setattr(ddlab.empirical.SeededRotation, "matrix", counting_matrix)
         code = main([
             "empirical", "--n", "12", "--d", "8", "--spectrum", "inverse_index",
             "--m-grid", "4", "--reps", "2", "--with-theory", "--out", str(tmp_path / "e.csv"),
         ])
         assert code == 0
         assert len(calls) == 1
+        assert len(formed) == 1
 
-    def test_unreadable_config_exit_one(self, tmp_path):
+    def test_theory_sweep_never_forms_basis(self, tmp_path, monkeypatch):
+        import ddlab.empirical
+        from ddlab.spectrum import SignalMeasure, Spectrum, spectrum_to_json
+
+        def no_matrix(self):
+            raise AssertionError("d x d basis formed in a theory sweep")
+
+        monkeypatch.setattr(ddlab.empirical.SeededRotation, "matrix", no_matrix)
+        spec = Spectrum(eigenvalues=np.array([0.5, 2.0]), weights=np.array([40.0, 20.0]), d=60)
+        measures = tmp_path / "measures.json"
+        measures.write_text(spectrum_to_json(spec, SignalMeasure(masses=np.array([0.8, 1.2]))))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "n": 30, "d": 60, "spectrum": {"kind": "file", "path": str(measures)},
+            "signal": {"kind": "aligned_file"},
+        }))
+        base = ["theory", "--n", "30", "--d", "60", "--spectrum", "inverse_index"]
+        for argv in (
+            [*base, "--m-grid", "10,29,31,90"],
+            [*base, "--lambda-grid", "0,0.01,1"],
+            ["theory", "--config", str(cfg), "--m-grid", "10,29,31,90"],
+            ["theory", "--config", str(cfg), "--lambda-grid", "0,0.01,1"],
+        ):
+            assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 0, argv
+
+    def test_unreadable_config_exit_one(self, tmp_path, capsys):
         missing = tmp_path / "none.json"
         assert main(["theory", "--config", str(missing), "--out", str(tmp_path / "o.csv")]) == 1
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 10}')
         assert main(["theory", "--config", str(bad), "--out", str(tmp_path / "o.csv")]) == 1
+        capsys.readouterr()
+        # An integer no float can hold is a schema error, not an OverflowError.
+        bad.write_text('{"n": 10, "d": 5, "sigma_noise": 1' + "0" * 400 + "}")
+        assert main(["theory", "--config", str(bad), "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: sigma_noise:")
 
 
 class TestFig3Rows:

@@ -6,6 +6,7 @@ import scipy.stats
 from ddlab.config import SweepConfig
 from ddlab.empirical import (
     RankDeficientDesignError,
+    SeededRotation,
     build_design,
     build_instance,
     child_seed,
@@ -16,6 +17,7 @@ from ddlab.empirical import (
     probe_trace_equivalents,
     run_replications,
     sample_matrix,
+    seeded_instance,
 )
 from ddlab.empirical import _clamp
 from ddlab.selfconsistent import kappa_at_dof, kappa_isotropic_closed
@@ -155,9 +157,19 @@ class TestProblemInstance:
         assert inst.signal().total_mass == pytest.approx(float(theta @ theta), rel=1e-10)
 
     def test_signal_eigenvector_alignment(self):
-        inst = small_instance(d=3, seed=24)
-        object.__setattr__(inst, "theta_star", inst.sigma_basis[:, 0].copy())
+        from ddlab.empirical import ProblemInstance
+
+        base = small_instance(d=3, seed=24)
+        inst = ProblemInstance(
+            n=base.n, d=3, sigma_noise=base.sigma_noise, sigma_basis=base.sigma_basis,
+            sigma_eigs=base.sigma_eigs, theta_star=base.sigma_basis[:, 0].copy(),
+        )
         assert np.allclose(inst.signal().masses, [1.0, 0.0, 0.0], atol=1e-14)
+
+    def test_immutable(self):
+        inst = small_instance(d=3, seed=25)
+        with pytest.raises(AttributeError):
+            inst.theta_star = np.zeros(3)
 
     def test_theta_dimension_mismatch(self):
         from ddlab.empirical import ProblemInstance
@@ -167,6 +179,101 @@ class TestProblemInstance:
                 n=4, d=3, sigma_noise=1.0, sigma_basis=np.eye(3),
                 sigma_eigs=np.ones(3), theta_star=np.ones(4),
             )
+
+
+def old_seeded_basis(d, seed):
+    """The basis kernel before the reflector form: a full QR with the column
+    signs fixed by diag(R), kept as the reference the rotation must match."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    q *= np.sign(np.diag(r))[None, :]
+    return q
+
+
+class TestSeededRotation:
+    @pytest.mark.parametrize("d", [1, 2, 7, 64, 300])
+    def test_matrix_matches_old_kernel(self, d):
+        assert np.array_equal(SeededRotation(d, 5).matrix(), old_seeded_basis(d, 5))
+
+    @pytest.mark.parametrize("d", [1, 7, 300])
+    def test_apply_matches_matrix(self, d):
+        rotation = SeededRotation(d, 6)
+        q = rotation.matrix()
+        v = np.random.default_rng(7).standard_normal(d)
+        assert np.allclose(rotation.apply(v), q @ v, rtol=0, atol=1e-12)
+        assert np.allclose(rotation.apply(v, transpose=True), q.T @ v, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 64, 300])
+    def test_seeded_instance_matches_old_kernel(self, d):
+        eigs = np.sort(np.random.default_rng(d).uniform(0.1, 2.0, d))[::-1].copy()
+        inst = seeded_instance(10, 1.0, eigs, basis_seed=5, theta_seed=8)
+        q = old_seeded_basis(d, 5)
+        theta = np.random.default_rng(8).standard_normal(d)
+        theta = theta / np.sqrt(theta @ (q @ (eigs * (q.T @ theta))))
+        np.testing.assert_allclose(inst.theta_star, theta, rtol=1e-12)
+        np.testing.assert_allclose(inst.signal().masses, (q.T @ theta) ** 2, rtol=1e-12)
+        assert inst.signal_strength() == pytest.approx(
+            float(theta @ (q @ (eigs * (q.T @ theta)))), rel=1e-12
+        )
+        assert np.array_equal(inst.sigma_basis, q)
+
+    @pytest.mark.parametrize("signal_kind", ["random_gaussian_normalized", "aligned_file"])
+    def test_corrupted_reflectors_fail_at_build(self, tmp_path, monkeypatch, signal_kind):
+        import ddlab.empirical as emp
+        from ddlab.spectrum import SignalMeasure, Spectrum, spectrum_to_json
+
+        class Corrupted(SeededRotation):
+            def __init__(self, d, seed):
+                super().__init__(d, seed)
+                self.tau[0] *= 0.5
+
+        spec = Spectrum(eigenvalues=np.array([0.5, 2.0]), weights=np.array([4.0, 2.0]), d=6)
+        path = tmp_path / "measures.json"
+        path.write_text(spectrum_to_json(spec, SignalMeasure(masses=np.array([0.8, 1.2]))))
+        cfg = SweepConfig(
+            n=12, d=6, spectrum_kind="file", spectrum_path=str(path),
+            signal_kind=signal_kind, m_grid=[3], mode="theory",
+        )
+        build_instance(cfg)
+        monkeypatch.setattr(emp, "SeededRotation", Corrupted)
+        with pytest.raises(ValueError, match="orthonormal"):
+            build_instance(cfg)
+
+    def test_basis_formed_once_under_threads(self, monkeypatch):
+        import sys
+        import threading
+
+        import ddlab.empirical as emp
+
+        calls = []
+        matrix = emp.SeededRotation.matrix
+
+        def counting(self):
+            calls.append(1)
+            return matrix(self)
+
+        monkeypatch.setattr(emp.SeededRotation, "matrix", counting)
+        inst = seeded_instance(10, 1.0, np.linspace(2.0, 0.5, 64), 3, 4)
+        seen = []
+        barrier = threading.Barrier(8)
+
+        def reach():
+            barrier.wait(timeout=30)
+            seen.append(inst.sigma_basis)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reach) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 1
+        assert len(seen) == 8 and all(b is seen[0] for b in seen)
+        assert np.array_equal(seen[0], old_seeded_basis(64, 3))
 
 
 class TestInstanceFromFiles:
