@@ -248,7 +248,15 @@ class ProblemInstance:
 
 
 def _check_orthonormal(basis: np.ndarray) -> None:
-    if not np.allclose(basis.T @ basis, np.eye(basis.shape[0]), atol=1e-8):
+    """The rule of np.allclose(Q'Q, I, atol=1e-8), with the Gram as the only
+    d x d array: |g - 1| <= 1e-8 + 1e-5 on the diagonal, |g| <= 1e-8 off it."""
+    gram = basis.T @ basis
+    gram.flat[:: gram.shape[0] + 1] -= 1.0
+    np.abs(gram, out=gram)
+    diag = gram.diagonal().max(initial=0.0)
+    np.fill_diagonal(gram, 0.0)
+    # Negated, so that a NaN anywhere rejects the basis.
+    if not (diag <= 1e-8 + 1e-5 and gram.max(initial=0.0) <= 1e-8):
         raise ValueError("basis columns are not orthonormal")
 
 
@@ -449,29 +457,66 @@ class TraceProbe:
         return abs(self.lhs - self.rhs) / max(abs(self.rhs), 1e-300)
 
 
-def _trace_pair(A: np.ndarray, B: np.ndarray, M: np.ndarray) -> tuple[float, float]:
-    """tr(A M) and tr(A M B M) for symmetric A, summed over blocks of 256 rows
-    so that no temporary is d x d."""
-    linear = quad = 0.0
-    for lo in range(0, M.shape[0], 256):
-        rows = slice(lo, lo + 256)
-        linear += float(np.sum(A[rows] * M[rows]))
-        quad += float(np.sum((A[rows] @ M) * (B @ M[:, rows]).T))
-    return linear, quad
+def _probe_pair(m, p, s) -> tuple[float, float]:
+    """tr(M P) and tr(M P M S)."""
+    mp = m @ p
+    return float(np.trace(mp)), float(np.sum(mp * (m @ s).T))
 
 
-def _operator_traces(a, b, xq, gram, lam: float, inv_root) -> list[tuple[float, float]]:
-    """_trace_pair of the shrink, resolvent and kernel operators, built one at a
-    time; W dies on return, before the caller forms the d x d equivalents."""
-    n, d = xq.shape
-    w = xq.T @ solve_shifted(gram, n * lam, xq)
-    res = -w
-    res.flat[:: d + 1] += 1.0
-    res /= lam
-    pairs = [_trace_pair(a, b, w), _trace_pair(a, b, res)]
+def _kernel_sandwiches(xq, a, b, inv_root) -> list[np.ndarray]:
+    """C_a = X~ a X~', C_b = X~ b X~' and C_ab = (X~ a)(X~ b)' of the rotated
+    draw X~, then K_a and K_b, the first two with X~ scaled (in place) by
+    e^(-1/2)."""
+    xa, xb = xq @ a, xq @ b
+    sandwiches = [xa @ xq.T, xb @ xq.T, xa @ xb.T]
+    del xa, xb
+    xq *= inv_root
+    return sandwiches + [(xq @ a) @ xq.T, (xq @ b) @ xq.T]
+
+
+def _kernel_side_traces(gram, sandwiches, tr_a, inner, lam) -> tuple[float, ...]:
+    """The six probe traces at one penalty for d > n, from n x n matrices only.
+
+    With G = (XX' + n lam I)^-1 the shrinkage is W = X~' G X~, so each trace
+    is one of G against the sandwiches; the resolvent is (I - W)/lam, with
+    tr a and <a, b> for its identity part.
+    """
+    c_a, c_b, c_ab, k_a, k_b = sandwiches
+    n = gram.shape[0]
+    g = solve_shifted(gram, n * lam, np.eye(n))
+    lin, quad = _probe_pair(g, c_a, c_b)
+    cross = float(np.sum(g * c_ab))
+    return (
+        lin, quad, (tr_a - lin) / lam, (inner - 2.0 * cross + quad) / lam**2,
+        *_probe_pair(g, k_a, k_b),
+    )
+
+
+def _feature_side_traces(gram, n, a, b, inv_root, lam) -> tuple[float, ...]:
+    """The six probe traces at one penalty for d <= n, from d x d matrices.
+
+    One solve gives R = (X~'X~ + n lam I)^-1; the resolvent is n R and the
+    shrinkage W = R X~'X~ = I - n lam R.  Neither form of W is accurate at
+    every lam: the product loses digits where R is large (d near n, small
+    lam), the difference where W is small (lam large against Shat).  For a
+    backward error E of the solve their first-order errors are -R E W and
+    R E (I - W), so W_product + (W_difference - W_product) W_product cancels
+    both.  The kernel operator is W scaled (in place) by e^(-1/2) on both
+    sides.
+    """
+    d = gram.shape[0]
+    r = solve_shifted(gram, n * lam, np.eye(d))
+    w = r @ gram
+    r *= n
+    gap = -lam * r
+    gap.flat[:: d + 1] += 1.0
+    gap -= w
+    w += gap @ w
+    del gap
+    traces = (*_probe_pair(w, a, b), *_probe_pair(r, a, b))
     w *= inv_root[:, None]
     w *= inv_root
-    return pairs + [_trace_pair(a, b, w)]
+    return (*traces, *_probe_pair(w, a, b))
 
 
 def probe_trace_equivalents(
@@ -481,13 +526,15 @@ def probe_trace_equivalents(
 
     For each penalty in ``lams``, in input order, six pairs for symmetric A, B:
     tr(A M) and tr(A M B M) of three operators M, all in Sigma's eigenbasis
-    (eigenvalues e), into which A, B and X are rotated once.  One shifted
-    kernel solve per penalty gives the shrinkage W = X'(XX' + n lam I)^-1 X =
-    Shat (Shat + lam I)^-1; the resolvent (Shat + lam I)^-1 is (I - W)/lam,
+    (eigenvalues e), into which A, B and X are rotated once: the shrinkage
+    W = Shat (Shat + lam I)^-1, the resolvent (Shat + lam I)^-1 = (I - W)/lam
     and the kernel-side Z'(Z Sigma Z' + n lam I)^-1 Z of the draw
-    Z = X Sigma^(-1/2) is W scaled by e^(-1/2) on both sides.  The
-    equivalents replace Shat by Sigma at kappa(lam), so they are diagonal;
-    the quadratic ones add a rank-one correction weighted by 1/(n - df2(kappa)).
+    Z = X Sigma^(-1/2), which is W scaled by e^(-1/2) on both sides.  One
+    shifted solve per penalty on the smaller Gram matrix gives them all; when
+    d > n every trace comes from n x n matrices and no d x d operator is
+    formed.  The equivalents are computed first, and replace Shat by Sigma at
+    kappa(lam), so they are diagonal; the quadratic ones add a rank-one
+    correction weighted by 1/(n - df2(kappa)).
     """
     lams = [float(lam) for lam in lams]
     if not all(0 < lam < math.inf for lam in lams):
@@ -495,9 +542,9 @@ def probe_trace_equivalents(
     q, e = inst.sigma_basis, inst.sigma_eigs
     a = q.T @ as_sym_matrix(A, name="A") @ q
     b = q.T @ as_sym_matrix(B, name="B") @ q
-    xq, gram, n = X @ q, X @ X.T, X.shape[0]
+    n = X.shape[0]
     spec = inst.spectrum()
-    results = []
+    rhs = []
     for lam in lams:
         kappa = kappa_of_lambda(spec, n, lam).kappa
         rs = 1.0 / (e + kappa)
@@ -510,17 +557,31 @@ def probe_trace_equivalents(
             ("resolvent", rs, kappa / lam, kappa**2 / lam**2, 1.0, e),
             ("kernel", rs, 1.0, 1.0, kappa**2, 1.0),
         )
-        probes = []
-        rows = zip(_operator_traces(a, b, xq, gram, lam, 1.0 / np.sqrt(e)), equivalents)
-        for (lhs_lin, lhs_quad), (name, diag, lin_scale, quad_scale, weight, tilt) in rows:
+        row = []
+        for name, diag, lin_scale, quad_scale, weight, tilt in equivalents:
             ca, cb = (float(np.sum(np.diag(m) * tilt * rs**2)) for m in (a, b))
             quad = float(np.sum((a * diag) * (b * diag).T)) + weight * ca * cb * corr
-            probes += [
-                TraceProbe(f"{name}_linear", lhs_lin, lin_scale * float(np.sum(np.diag(a) * diag))),
-                TraceProbe(f"{name}_quadratic", lhs_quad, quad_scale * quad),
+            row += [
+                (f"{name}_linear", lin_scale * float(np.sum(np.diag(a) * diag))),
+                (f"{name}_quadratic", quad_scale * quad),
             ]
-        results.append(probes)
-    return results
+        rhs.append(row)
+    inv_root, xq = 1.0 / np.sqrt(e), X @ q
+    if inst.d > n:
+        tr_a, inner = float(np.trace(a)), float(np.sum(a * b.T))
+        sandwiches = _kernel_sandwiches(xq, a, b, inv_root)
+        # The n x n sandwiches carry all the traces need of the d x d a and b.
+        del a, b, xq
+        gram = X @ X.T
+        lhs = [_kernel_side_traces(gram, sandwiches, tr_a, inner, lam) for lam in lams]
+    else:
+        gram = xq.T @ xq
+        del xq
+        lhs = [_feature_side_traces(gram, n, a, b, inv_root, lam) for lam in lams]
+    return [
+        [TraceProbe(name, lv, rv) for (name, rv), lv in zip(rhs_row, lhs_row, strict=True)]
+        for lhs_row, rhs_row in zip(lhs, rhs, strict=True)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,31 @@ class TestProblemInstance:
         with pytest.raises(AttributeError):
             inst.theta_star = np.zeros(3)
 
+    def test_orthonormality_rule(self):
+        # The rule of np.allclose(Q'Q, I, atol=1e-8): |g - 1| <= 1e-8 + 1e-5 on
+        # the diagonal, |g| <= 1e-8 off it, and NaN rejected.
+        from ddlab.empirical import _check_orthonormal
+
+        q = np.linalg.qr(np.random.default_rng(26).standard_normal((6, 6)))[0]
+        cases = [(q, True)]
+        for scale, ok in ((1 + 4e-6, True), (1 + 6e-6, False)):
+            basis = q.copy()
+            basis[:, 0] *= scale
+            cases.append((basis, ok))
+        for tilt, ok in ((5e-9, True), (2e-8, False)):
+            basis = q.copy()
+            basis[:, 1] += tilt * q[:, 0]
+            cases.append((basis, ok))
+        basis = q.copy()
+        basis[2, 3] = np.nan
+        cases.append((basis, False))
+        for basis, ok in cases:
+            if ok:
+                _check_orthonormal(basis)
+            else:
+                with pytest.raises(ValueError, match="orthonormal"):
+                    _check_orthonormal(basis)
+
     def test_theta_dimension_mismatch(self):
         from ddlab.empirical import ProblemInstance
 
@@ -551,9 +576,19 @@ class TestTraceProbes:
         for p in probes:
             assert p.rel_gap <= 0.10, (p.name, p.rel_gap)
 
-    @pytest.mark.parametrize("n, d", [(60, 100), (100, 60), (80, 80)])
-    def test_lhs_matches_eigh_reference(self, n, d):
-        inst = small_instance(n=n, d=d, seed=n + d)
+    # The spread spectrum covers four decades, so a penalty far above most of
+    # it makes W = I - lam R cancel; a square design at a tiny penalty makes
+    # W = R X'X lose digits to the large entries of R.
+    @pytest.mark.parametrize("n, d, lams, spread", [
+        pytest.param(60, 100, (1e-3, 1e-2, 0.1, 1.0), False, id="60-100"),
+        pytest.param(100, 60, (1e-3, 1e-2, 0.1, 1.0), False, id="100-60"),
+        pytest.param(80, 80, (1e-4, 1e-3, 1e-2, 0.1, 1.0), False, id="80-80"),
+        pytest.param(100, 60, (0.1, 1.0, 10.0), True, id="100-60-spread"),
+        pytest.param(400, 200, (0.1, 1.0, 10.0), True, id="400-200-spread"),
+    ])
+    def test_lhs_matches_eigh_reference(self, n, d, lams, spread):
+        eigs = np.logspace(-3.0, 1.0, d) if spread else None
+        inst = small_instance(n=n, d=d, seed=n + d, eigs=eigs)
         x = build_design(inst, sample_matrix(n, d, "rademacher", n * d))
         sym = sample_matrix(d, d, "gaussian", 5)
         pairs = [
@@ -561,7 +596,6 @@ class TestTraceProbes:
             (np.outer(inst.theta_star, inst.theta_star), inst.covariance()),
             (sym + sym.T, np.diag(np.linspace(-1.0, 2.0, d))),
         ]
-        lams = (0.1, 1.0)
         for A, B in pairs:
             for lam, probes in zip(lams, probe_trace_equivalents(inst, x, A, B, lams), strict=True):
                 ref = eigh_probe_reference(inst, x, A, B, lam)
@@ -610,11 +644,13 @@ def test_one_shifted_solve_per_draw(monkeypatch):
     import ddlab.empirical as emp
 
     calls = {"solve_shifted": 0, "eigh": 0}
+    shapes = []
     solve, eigh = emp.solve_shifted, np.linalg.eigh
 
-    def counting_solve(*args):
+    def counting_solve(a, shift, rhs):
         calls["solve_shifted"] += 1
-        return solve(*args)
+        shapes.append((np.shape(a), np.shape(rhs)))
+        return solve(a, shift, rhs)
 
     def counting_eigh(*args, **kwargs):
         calls["eigh"] += 1
@@ -623,9 +659,11 @@ def test_one_shifted_solve_per_draw(monkeypatch):
     def no_dense_covariance(self):
         raise AssertionError("dense covariance built")
 
-    probe_inst = small_instance(n=30, d=50, seed=91)
-    probe_x = build_design(probe_inst, sample_matrix(30, 50, "rademacher", 92))
-    sigma = probe_inst.covariance()
+    draws = []
+    for n, d in ((30, 50), (50, 30)):
+        probe_inst = small_instance(n=n, d=d, seed=91)
+        probe_x = build_design(probe_inst, sample_matrix(n, d, "rademacher", 92))
+        draws.append((probe_inst, probe_x, probe_inst.covariance()))
     monkeypatch.setattr(emp, "solve_shifted", counting_solve)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(emp.ProblemInstance, "covariance", no_dense_covariance)
@@ -636,11 +674,16 @@ def test_one_shifted_solve_per_draw(monkeypatch):
             before = calls["solve_shifted"]
             conditional_risk_ridge(inst, x, lam)
             assert calls["solve_shifted"] - before == 1, (n, d, lam)
-    for lams in ((0.5,), (0.1, 0.5, 1.0)):
-        calls["solve_shifted"] = 0
-        probes = probe_trace_equivalents(probe_inst, probe_x, sigma, np.eye(50), lams)
-        assert len(probes) == len(lams)
-        assert calls == {"solve_shifted": len(lams), "eigh": 0}
+    for probe_inst, probe_x, sigma in draws:
+        side = min(probe_x.shape)
+        for lams in ((0.5,), (0.1, 0.5, 1.0)):
+            calls["solve_shifted"] = 0
+            shapes.clear()
+            probes = probe_trace_equivalents(probe_inst, probe_x, sigma, np.eye(probe_inst.d), lams)
+            assert len(probes) == len(lams)
+            assert calls == {"solve_shifted": len(lams), "eigh": 0}
+            # Every solve is on the smaller Gram matrix, with a square right-hand side.
+            assert shapes == [((side, side), (side, side))] * len(lams), probe_x.shape
 
 
 class TestRunReplications:
