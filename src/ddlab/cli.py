@@ -174,11 +174,8 @@ def _theory_breakdowns(
     spec: Spectrum, signal: SignalMeasure, config: SweepConfig
 ) -> list[RiskBreakdown]:
     if config.grid_kind == "m":
-        return [rp_risk(spec, signal, config.n, m, config.sigma_noise) for m in config.m_grid]
-    return [
-        ridge_risk(spec, signal, config.n, config.sigma_noise, lam)
-        for lam in config.lambda_grid
-    ]
+        return rp_risk(spec, signal, config.n, config.m_grid, config.sigma_noise)
+    return ridge_risk(spec, signal, config.n, config.sigma_noise, config.lambda_grid)
 
 
 def sweep_rows(config: SweepConfig, record_kappa: bool = False):
@@ -330,6 +327,7 @@ def run_fig2(
     for n in n_values:
         spec_th, signal_th, _ = fig2_theory_measures(n)
         eigs = np.sort(spec_th.expand())[::-1].copy()
+        ms = [int(round(delta * n)) for delta in deltas]
         rows = []
         gaps_bias, gaps_var = [], []
         gom_bias, gom_var = [], []
@@ -341,16 +339,14 @@ def run_fig2(
             )
             z = sample_matrix(n, inst.d, sampler, child_seed(master_seed, n, r, 0))
             x = z @ inst.sqrt_covariance()
-            for j, delta in enumerate(deltas):
-                m = int(round(delta * n))
+            for j, m in enumerate(ms):
                 s = sample_matrix(
                     inst.d, m, sampler, child_seed(master_seed, n, r, 1, j)
                 )
                 bias, variance = conditional_risk_projected(inst, x, s)
                 per_real[j].append((max(bias, 0.0), max(variance, 0.0)))
-        for j, delta in enumerate(deltas):
-            m = int(round(delta * n))
-            br = rp_risk(spec_th, signal_th, n, m, 1.0)
+        theory = rp_risk(spec_th, signal_th, n, ms, 1.0)
+        for j, (delta, m, br) in enumerate(zip(deltas, ms, theory)):
             vals = per_real[j]
             b = np.array([t[0] for t in vals])
             v = np.array([t[1] for t in vals])
@@ -401,9 +397,7 @@ def run_fig3(gammas=(0.5, 1.0, 2.0), lambda_max: float = 3.0, points: int = 25):
         spec = make_isotropic(d, 1.0)
         masses = (spec.weights / d) / 1.0
         signal = SignalMeasure(masses=masses)
-        for lam in lams:
-            br = ridge_risk(spec, signal, n, 1.0, lam)
-            sol = kappa_of_lambda(spec, n, lam)
+        for lam, br in zip(lams, ridge_risk(spec, signal, n, 1.0, lams)):
             rows.append(
                 CurveRow(
                     m_or_lambda=float(lam), delta=gamma,
@@ -411,7 +405,7 @@ def run_fig3(gammas=(0.5, 1.0, 2.0), lambda_max: float = 3.0, points: int = 25):
                     total_theory=br.total, diverged_flag=int(br.diverged),
                     bias_emp_mean=None, bias_emp_std=None,
                     var_emp_mean=None, var_emp_std=None, reps_used=None,
-                    kappa=sol.kappa,
+                    kappa=br.kappa,
                 )
             )
     return rows

@@ -401,6 +401,11 @@ def conditional_risk_ridge(
     also yields g = (X'X + n lam I)^-1 theta, and the residual is -n lam g,
     which does not cancel at small lam and gives an exact zero bias at
     lam = 0.
+
+    Limitation: at d = n and lam = 0 the X'X solve squares the condition
+    number of the square design, so the variance is good only to about
+    4e-12 relative (n = d = 30, against a full-SVD reference), against
+    about 1e-14 at every other shape and lam measured.
     """
     lam = float(lam)
     if not lam >= 0:

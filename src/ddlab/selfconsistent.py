@@ -17,7 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .spectrum import Spectrum, df1
+import numpy as np
+
+from .spectrum import Spectrum, as_grid, df1, support_sums
 
 __all__ = [
     "KappaSolution",
@@ -44,14 +46,16 @@ class KappaSolution:
 
     residual is the defect of the defining equation at kappa; diverged marks
     the boundary case where the derivative of kappa(lambda) blows up at zero
-    and downstream risk formulas are infinite.
+    and downstream risk formulas are infinite.  A solve over a grid holds
+    one kappa, residual and diverged flag per point (arrays) and the total
+    iteration count of all points.
     """
 
-    kappa: float
-    residual: float
+    kappa: float | np.ndarray
+    residual: float | np.ndarray
     iterations: int
     regime: str
-    diverged: bool = False
+    diverged: bool | np.ndarray = False
 
 
 def _regime(d: float, n: int) -> str:
@@ -62,104 +66,138 @@ def _regime(d: float, n: int) -> str:
     return REGIME_CRITICAL
 
 
-def kappa_of_lambda(s: Spectrum, n: int, lam: float) -> KappaSolution:
+def _solution(kappa, residual, iterations, regime, diverged, scalar) -> KappaSolution:
+    if scalar:
+        return KappaSolution(
+            float(kappa[0]), float(residual[0]), int(iterations.sum()), regime, bool(diverged[0])
+        )
+    return KappaSolution(kappa, residual, int(iterations.sum()), regime, diverged)
+
+
+def _bisect(lo, hi, lower, converged, iterations) -> None:
+    """Bisect every lane of [lo, hi] in place, each on its own schedule.
+
+    lower(mid, lanes) says, per lane, whether the root lies above mid;
+    converged(lo, hi) whether a bracket is narrow enough.  A lane stops at the
+    step where it converges, or after _MAX_ITER steps, and counts its steps
+    in iterations; the other lanes go on.
+    """
+    lanes = np.arange(lo.size)
+    for _ in range(_MAX_ITER):
+        if not lanes.size:
+            break
+        iterations[lanes] += 1
+        mid = 0.5 * (lo[lanes] + hi[lanes])
+        up = lower(mid, lanes)
+        lo[lanes[up]] = mid[up]
+        hi[lanes[~up]] = mid[~up]
+        lanes = lanes[~converged(lo[lanes], hi[lanes])]
+
+
+def kappa_of_lambda(s: Spectrum, n: int, lam) -> KappaSolution:
     """Solve kappa * (1 - df1(kappa)/n) = lam for the unique root >= lam.
 
     At lam = 0 the equation degenerates: with rank(Sigma) < n the root is
     exactly zero, with rank(Sigma) > n it is the positive solution of
     df1(kappa) = n, and with rank(Sigma) = n the root is zero but sits on a
     square-root branch, reported as a flagged critical solution.
+
+    lam may be a 1-D grid; its points are solved together, each exactly as
+    a scalar call would solve it, and the lam = 0 root is solved once.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    lam = float(lam)
-    if not lam >= 0:
+    lams, scalar = as_grid(lam, "lambda")
+    if not (lams >= 0).all():
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     rank = s.rank
     regime = _regime(rank, n)
+    kappa = np.zeros_like(lams)
+    residual = np.zeros_like(lams)
+    iterations = np.zeros(lams.shape, dtype=int)
+    diverged = np.zeros(lams.shape, dtype=bool)
 
-    if lam == 0.0:
-        if rank < n:
-            return KappaSolution(kappa=0.0, residual=0.0, iterations=0, regime=regime)
-        if rank == n:
-            return KappaSolution(
-                kappa=0.0, residual=0.0, iterations=0, regime=REGIME_CRITICAL, diverged=True
-            )
+    zero = lams == 0.0
+    if zero.any() and rank == n:
+        diverged[zero] = True
+    elif zero.any() and rank > n:
         sol = kappa_at_dof(s, float(n))
-        return KappaSolution(
-            kappa=sol.kappa, residual=sol.residual, iterations=sol.iterations, regime=regime
+        kappa[zero], residual[zero], iterations[zero] = sol.kappa, sol.residual, sol.iterations
+
+    live = np.flatnonzero(~zero)
+    if live.size:
+        lam_live = lams[live]
+
+        def defect(k, lanes):
+            return k * (1.0 - df1(s, k) / n) - lam_live[lanes]
+
+        lo = lam_live.copy()
+        hi = lam_live + s.trace / n
+        it = np.zeros(live.shape, dtype=int)
+        # The upper endpoint is a proven bound; nudge for roundoff.
+        lanes = np.arange(live.size)
+        while lanes.size:
+            lanes = lanes[(defect(hi[lanes], lanes) < 0.0) & (it[lanes] < 64)]
+            hi[lanes] *= 1.0 + 1e-12
+            it[lanes] += 1
+        _bisect(
+            lo, hi,
+            lambda mid, lanes: defect(mid, lanes) < 0.0,
+            lambda lo, hi: hi - lo <= _BISECT_REL_WIDTH * hi,
+            it,
         )
-
-    def defect(k: float) -> float:
-        return k * (1.0 - df1(s, k) / n) - lam
-
-    lo = lam
-    hi = lam + s.trace / n
-    it = 0
-    # The upper endpoint is a proven bound; nudge for roundoff.
-    while defect(hi) < 0.0 and it < 64:
-        hi *= 1.0 + 1e-12
-        it += 1
-    for _ in range(_MAX_ITER):
-        it += 1
-        mid = 0.5 * (lo + hi)
-        if defect(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_REL_WIDTH * hi:
-            break
-    kappa = 0.5 * (lo + hi)
-    return KappaSolution(
-        kappa=kappa, residual=defect(kappa), iterations=it, regime=regime
-    )
+        k = 0.5 * (lo + hi)
+        kappa[live], residual[live], iterations[live] = k, defect(k, slice(None)), it
+    return _solution(kappa, residual, iterations, regime, diverged, scalar)
 
 
-def kappa_at_dof(s: Spectrum, target: float) -> KappaSolution:
+def kappa_at_dof(s: Spectrum, target) -> KappaSolution:
     """Solve df1(kappa) = target for 0 < target < rank(Sigma).
 
     df1 is strictly decreasing, so bisection on [0, tr(Sigma)/target] always
     brackets the root; two Newton polishing steps push the residual to
-    roundoff level.
+    roundoff level.  target may be a 1-D grid; its points are solved
+    together, each exactly as a scalar call would solve it.
     """
-    target = float(target)
+    targets, scalar = as_grid(target, "target")
     rank = s.rank
-    if not target > 0:
+    if not (targets > 0).all():
         raise ValueError(f"target must be positive, got {target}")
-    if target >= rank:
+    if (targets >= rank).any():
         raise ValueError(
             f"target {target} exceeds spectrum rank {rank}; no positive solution exists"
         )
-    lo = 0.0
-    hi = s.trace / target
-    bracket_hi = hi
-    it = 0
-    for _ in range(_MAX_ITER):
-        it += 1
-        mid = 0.5 * (lo + hi)
-        if df1(s, mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_REL_WIDTH * max(hi, 1e-300):
-            break
+    lo = np.zeros_like(targets)
+    hi = s.trace / targets
+    bracket_hi = hi.copy()
+    iterations = np.zeros(targets.shape, dtype=int)
+    _bisect(
+        lo, hi,
+        lambda mid, lanes: df1(s, mid) > targets[lanes],
+        lambda lo, hi: hi - lo <= _BISECT_REL_WIDTH * np.maximum(hi, 1e-300),
+        iterations,
+    )
     kappa = 0.5 * (lo + hi)
     # Newton polish on f(k) = df1(k) - target, f'(k) = -sum w e / (e+k)^2,
-    # guarded by the original bracket.
-    e, w = s.eigenvalues, s.weights
+    # guarded by the original bracket; a lane stops at its first refused step.
+    e, we = s.support.eigenvalues, s.support.weighted
+    lanes = np.arange(targets.size)
     for _ in range(3):
-        f = df1(s, kappa) - target
-        fp = -float((w * e / (e + kappa) ** 2).sum())
-        if fp == 0.0:
+        if not lanes.size:
             break
-        cand = kappa - f / fp
-        if not 0.0 < cand < bracket_hi or cand == kappa:
-            break
-        kappa = cand
+        k = kappa[lanes]
+        f = df1(s, k) - targets[lanes]
+        fp = -support_sums(s, k, lambda kk: we / (e + kk) ** 2, float(np.sum(we / e**2)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = k - f / fp
+        step = (fp != 0.0) & (0.0 < cand) & (cand < bracket_hi[lanes]) & (cand != k)
+        kappa[lanes[step]] = cand[step]
+        lanes = lanes[step]
     # Inverting df1 only arises when the dof constraint binds, i.e. the
     # effective model dimension exceeds the target.
-    return KappaSolution(
-        kappa=kappa, residual=df1(s, kappa) - target, iterations=it, regime=REGIME_OVER
+    residual = df1(s, kappa) - targets
+    return _solution(
+        kappa, residual, iterations, REGIME_OVER, np.zeros(targets.shape, dtype=bool), scalar
     )
 
 

@@ -12,15 +12,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Spectrum",
+    "Support",
     "SignalMeasure",
     "SpectrumKind",
     "SPECTRUM_KINDS",
+    "as_grid",
+    "support_sums",
     "df1",
     "df2",
     "signal_functional",
@@ -35,6 +38,15 @@ __all__ = [
 ]
 
 
+class Support(NamedTuple):
+    """The strictly positive atoms of a spectrum, on which functionals sum."""
+
+    mask: np.ndarray  # eigenvalues > 0, over all atoms
+    eigenvalues: np.ndarray
+    weights: np.ndarray
+    weighted: np.ndarray  # weights * eigenvalues
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Weighted eigenvalue atoms of a covariance, weights summing to d.
@@ -44,6 +56,8 @@ class Spectrum:
     Constructors of model spectra enforce strictly positive eigenvalues;
     spectra extracted from an empirical covariance may carry zero atoms
     (rank deficiency), which contribute nothing to any functional.
+    ``support`` holds the positive atoms, and ``trace`` and ``rank`` are
+    computed once, when the spectrum is built.
     """
 
     eigenvalues: np.ndarray
@@ -70,16 +84,20 @@ class Spectrum:
         w.setflags(write=False)
         object.__setattr__(self, "eigenvalues", eigs)
         object.__setattr__(self, "weights", w)
+        pos = eigs > 0
+        object.__setattr__(self, "support", Support(pos, eigs[pos], w[pos], w[pos] * eigs[pos]))
+        object.__setattr__(self, "_trace", float(np.sum(w * eigs)))
+        object.__setattr__(self, "_rank", float(np.sum(w[pos])))
 
     @property
     def trace(self) -> float:
         """tr(Sigma) = sum of weight * eigenvalue."""
-        return float(np.sum(self.weights * self.eigenvalues))
+        return self._trace
 
     @property
     def rank(self) -> float:
         """Total weight carried by strictly positive atoms."""
-        return float(np.sum(self.weights[self.eigenvalues > 0]))
+        return self._rank
 
     @classmethod
     def from_eigenvalues(cls, eigenvalues, *, clip_tiny_negative: float = 1e-12) -> "Spectrum":
@@ -129,61 +147,86 @@ class SignalMeasure:
         return float(self.masses.sum())
 
 
-def _check_kappa(kappa: float) -> float:
-    kappa = float(kappa)
-    if not kappa >= 0:
+# Table entries (grid points x atoms) evaluated at once.  A 512 KB block
+# stays in cache: solving the 400-point lambda and 199-point dof grids of a
+# 4000-atom spectrum took 0.20 s in such blocks and 0.39 s in 8 MB ones.
+_TABLE_ENTRIES = 1 << 16
+
+
+def as_grid(values, name: str) -> tuple[np.ndarray, bool]:
+    """(values as a 1-D float array, whether a scalar was given).
+
+    Raises ValueError on NaN or on input of more than one dimension; range
+    checks are left to the caller.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim > 1:
+        raise ValueError(f"{name} must be a scalar or a 1-D grid, got shape {arr.shape}")
+    if np.isnan(arr).any():
+        raise ValueError(f"{name} must not be NaN, got {values}")
+    return np.atleast_1d(arr), arr.ndim == 0
+
+
+def support_sums(s: Spectrum, kappa, term, at_zero: float):
+    """Row sums of term(k) over the positive atoms, for each kappa in a grid.
+
+    term maps a column of kappa values to the (grid x support atoms) table;
+    each row is summed as one 1-D sum, so a grid point gets the same bits as
+    a scalar call.  Points with kappa = 0 take at_zero.  A scalar kappa gives
+    a float, a grid an array.
+    """
+    k, scalar = as_grid(kappa, "kappa")
+    if not (k >= 0).all():
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    return kappa
+    out = np.full(k.shape, at_zero)
+    lanes = np.flatnonzero(k)
+    rows = max(1, _TABLE_ENTRIES // max(s.support.eigenvalues.size, 1))
+    for start in range(0, lanes.size, rows):
+        sel = lanes[start:start + rows]
+        out[sel] = term(k[sel, None]).sum(axis=1)
+    return float(out[0]) if scalar else out
 
 
-def df1(s: Spectrum, kappa: float) -> float:
+def df1(s: Spectrum, kappa):
     """First degrees of freedom: sum of w_i * e_i / (e_i + kappa).
 
-    Strictly decreasing in kappa, equal to rank(Sigma) at kappa = 0.
+    Strictly decreasing in kappa, equal to rank(Sigma) at kappa = 0.  kappa
+    may be a 1-D grid, giving one value per point.
     """
-    kappa = _check_kappa(kappa)
-    e, w = s.eigenvalues, s.weights
-    pos = e > 0
-    if kappa == 0:
-        return float(w[pos].sum())
-    return float(np.sum(w[pos] * e[pos] / (e[pos] + kappa)))
+    e, we = s.support.eigenvalues, s.support.weighted
+    return support_sums(s, kappa, lambda k: we / (e + k), s.rank)
 
 
-def df2(s: Spectrum, kappa: float) -> float:
+def df2(s: Spectrum, kappa):
     """Second degrees of freedom: sum of w_i * (e_i / (e_i + kappa))^2.
 
-    Term-wise at most df1 since each ratio is at most one.
+    Term-wise at most df1 since each ratio is at most one.  kappa may be a
+    1-D grid.
     """
-    kappa = _check_kappa(kappa)
-    e, w = s.eigenvalues, s.weights
-    pos = e > 0
-    if kappa == 0:
-        return float(w[pos].sum())
-    return float(np.sum(w[pos] * (e[pos] / (e[pos] + kappa)) ** 2))
+    e, w = s.support.eigenvalues, s.support.weights
+    return support_sums(s, kappa, lambda k: w * (e / (e + k)) ** 2, s.rank)
 
 
-def signal_functional(s: Spectrum, v: SignalMeasure, kappa: float, power: int) -> float:
+def signal_functional(s: Spectrum, v: SignalMeasure, kappa, power: int):
     """sum of mass_i * e_i / (e_i + kappa)^power, for power 1 or 2.
 
     This is theta' Sigma (Sigma + kappa I)^(-power) theta evaluated on the
     measure pair; formulas multiply by the appropriate kappa prefactor.
+    kappa may be a 1-D grid.
     """
-    kappa = _check_kappa(kappa)
     if power not in (1, 2):
         raise ValueError(f"power must be 1 or 2, got {power}")
-    e = s.eigenvalues
-    m = v.masses
-    if m.shape != e.shape:
+    if v.masses.shape != s.eigenvalues.shape:
         raise ValueError(
-            f"signal measure has {m.shape[0]} masses but spectrum has {e.shape[0]} atoms"
+            f"signal measure has {v.masses.shape[0]} masses but spectrum has "
+            f"{s.eigenvalues.shape[0]} atoms"
         )
-    pos = e > 0
-    if kappa == 0:
-        # e / e^power collapses to 1 (power 1) or 1/e (power 2) on the support.
-        if power == 1:
-            return float(m[pos].sum())
-        return float(np.sum(m[pos] / e[pos]))
-    return float(np.sum(m[pos] * e[pos] / (e[pos] + kappa) ** power))
+    e = s.support.eigenvalues
+    m = v.masses[s.support.mask]
+    me = m * e
+    # e / e^power collapses to 1 (power 1) or 1/e (power 2) on the support.
+    at_zero = float(m.sum()) if power == 1 else float(np.sum(m / e))
+    return support_sums(s, kappa, lambda k: me / (e + k) ** power, at_zero)
 
 
 # ---------------------------------------------------------------------------

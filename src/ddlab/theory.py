@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .selfconsistent import (
     REGIME_CRITICAL,
     REGIME_OVER,
@@ -20,7 +22,7 @@ from .selfconsistent import (
     kappa_at_dof,
     kappa_of_lambda,
 )
-from .spectrum import SignalMeasure, Spectrum, df1, df2, signal_functional
+from .spectrum import SignalMeasure, Spectrum, as_grid, df1, df2, signal_functional
 
 __all__ = [
     "RiskBreakdown",
@@ -54,21 +56,17 @@ class RiskBreakdown:
     diverged: bool = False
 
 
-def _breakdown(bias, variance, kappa, s: Spectrum, regime, diverged=False) -> RiskBreakdown:
-    return RiskBreakdown(
-        bias=bias,
-        variance=variance,
-        total=bias + variance,
-        kappa=kappa,
-        df1_at_kappa=df1(s, kappa) if math.isfinite(kappa) else 0.0,
-        df2_at_kappa=df2(s, kappa) if math.isfinite(kappa) else 0.0,
-        regime=regime,
-        diverged=diverged,
-    )
+def _breakdowns(s: Spectrum, bias, variance, kappa, regime, diverged) -> list[RiskBreakdown]:
+    """One RiskBreakdown per grid point, with df1 and df2 read at every kappa at once.
 
-
-def _diverged(s: Spectrum, regime: str, kappa: float = 0.0) -> RiskBreakdown:
-    return _breakdown(math.inf, math.inf, kappa, s, regime, diverged=True)
+    regime and diverged hold one entry per point; total is bias + variance.
+    """
+    grid = np.asarray(kappa, dtype=float)
+    d1, d2 = df1(s, grid).tolist(), df2(s, grid).tolist()
+    return [
+        RiskBreakdown(b, v, b + v, k, x1, x2, r, dv)
+        for b, v, k, x1, x2, r, dv in zip(bias, variance, kappa, d1, d2, regime, diverged)
+    ]
 
 
 def fixed_design_ridge_risk(
@@ -98,27 +96,37 @@ def fixed_design_ridge_risk(
     )
     bias = lam**2 * signal_functional(empirical_spec, empirical_signal, lam, 2)
     variance = sigma**2 / n * df2(empirical_spec, lam)
-    return _breakdown(bias, variance, lam, empirical_spec, regime)
+    return _breakdowns(empirical_spec, [bias], [variance], [lam], [regime], [False])[0]
 
 
-def ridge_risk(s: Spectrum, v: SignalMeasure, n: int, sigma: float, lam: float) -> RiskBreakdown:
+def ridge_risk(s: Spectrum, v: SignalMeasure, n: int, sigma: float, lam):
     """Random-design ridge risk equivalent.
 
     The fixed-design formula evaluated at the implicit parameter kappa(lam),
-    inflated by 1 / (1 - df2(kappa)/n) on both terms.
+    inflated by 1 / (1 - df2(kappa)/n) on both terms.  lam may be a 1-D
+    grid: kappa is solved for the whole grid at once and one RiskBreakdown
+    per point is returned, in order.
     """
-    sol = kappa_of_lambda(s, n, lam)
-    if sol.diverged:
-        return _diverged(s, sol.regime, kappa=sol.kappa)
-    kappa = sol.kappa
-    d2 = df2(s, kappa)
-    denom = 1.0 - d2 / n
-    if denom <= DIVERGENCE_FLOOR:
-        return _diverged(s, sol.regime, kappa=kappa)
-    inflation = 1.0 / denom
-    variance = sigma**2 / n * d2 * inflation
-    bias = kappa**2 * signal_functional(s, v, kappa, 2) * inflation
-    return _breakdown(bias, variance, kappa, s, sol.regime)
+    lams, scalar = as_grid(lam, "lambda")
+    sol = kappa_of_lambda(s, n, lams)
+    kappa = sol.kappa.tolist()
+    d2 = df2(s, sol.kappa).tolist()
+    sf2 = signal_functional(s, v, sol.kappa, 2).tolist()
+    bias, variance, diverged = [], [], []
+    for k, dd, sf, flagged in zip(kappa, d2, sf2, sol.diverged.tolist()):
+        denom = 1.0 - dd / n
+        if flagged or denom <= DIVERGENCE_FLOOR:
+            bias.append(math.inf)
+            variance.append(math.inf)
+            diverged.append(True)
+            continue
+        # Python floats throughout: kappa**2 is libm pow, as a scalar call has it.
+        inflation = 1.0 / denom
+        variance.append(sigma**2 / n * dd * inflation)
+        bias.append(k**2 * sf * inflation)
+        diverged.append(False)
+    out = _breakdowns(s, bias, variance, kappa, [sol.regime] * len(kappa), diverged)
+    return out[0] if scalar else out
 
 
 def minnorm_risk(s: Spectrum, v: SignalMeasure, n: int, sigma: float) -> RiskBreakdown:
@@ -132,7 +140,7 @@ def minnorm_risk(s: Spectrum, v: SignalMeasure, n: int, sigma: float) -> RiskBre
     return ridge_risk(s, v, n, sigma, 0.0)
 
 
-def rp_risk(s: Spectrum, v: SignalMeasure, n: int, m: int, sigma: float) -> RiskBreakdown:
+def rp_risk(s: Spectrum, v: SignalMeasure, n: int, m, sigma: float):
     """Risk equivalent for min-norm least squares on m random projections.
 
     Below m = n the variance is sigma^2 m / (n - m) and the bias combines the
@@ -141,43 +149,58 @@ def rp_risk(s: Spectrum, v: SignalMeasure, n: int, m: int, sigma: float) -> Risk
     excess-projection terms proportional to n / (m - n).  With m >= d and
     d < n the projection spans the whole space almost surely and the
     estimator collapses to ordinary least squares.
+
+    m may be a 1-D grid: every kappa_m is solved in one call, kappa_n once
+    for all m > n, and one RiskBreakdown per point is returned, in order.
     """
-    if n < 1 or m < 1:
+    ms, scalar = as_grid(m, "m")
+    if n < 1 or not (ms >= 1).all():
         raise ValueError(f"n and m must be >= 1, got n={n} m={m}")
     d = s.rank
-    if m == n:
-        return _diverged(s, REGIME_CRITICAL)
+    # (bias, variance, kappa, regime, diverged) per point; the kappa_m and
+    # kappa_n points are filled in below.
+    rows: list = []
+    below: list[int] = []
+    above: list[int] = []
+    ols = None
+    for i, mi in enumerate(ms.tolist()):
+        if mi == n:
+            rows.append((math.inf, math.inf, 0.0, REGIME_CRITICAL, True))
+        elif d < n and (mi >= d or mi > n):
+            if ols is None:
+                mn = minnorm_risk(s, v, n, sigma)
+                ols = (mn.bias, mn.variance, mn.kappa, mn.regime, mn.diverged)
+            rows.append(ols)
+        elif (mi > n and d == n) or abs(mi - n) / n <= DIVERGENCE_FLOOR:
+            rows.append((math.inf, math.inf, 0.0, REGIME_UNDER if mi < n else REGIME_OVER, True))
+        else:
+            rows.append(None)
+            (below if mi < n else above).append(i)
 
-    if m < n:
-        if m >= d:
-            if d < n:
-                return minnorm_risk(s, v, n, sigma)
-            return _diverged(s, REGIME_UNDER)
-        denom = (n - m) / n
+    if below:
+        km = kappa_at_dof(s, ms[below]).kappa
+        sf1 = signal_functional(s, v, km, 1)
+        for i, k, sf in zip(below, km.tolist(), sf1.tolist()):
+            mi = ms[i].item()
+            bias = k * sf / ((n - mi) / n)
+            rows[i] = (bias, sigma**2 * mi / (n - mi), k, REGIME_UNDER, False)
+
+    if above:
+        kn = kappa_at_dof(s, float(n)).kappa
+        d2 = df2(s, kn)
+        denom = 1.0 - d2 / n
         if denom <= DIVERGENCE_FLOOR:
-            return _diverged(s, REGIME_UNDER)
-        km = kappa_at_dof(s, float(m)).kappa
-        variance = sigma**2 * m / (n - m)
-        bias = km * signal_functional(s, v, km, 1) / denom
-        return _breakdown(bias, variance, km, s, REGIME_UNDER)
+            for i in above:
+                rows[i] = (math.inf, math.inf, kn, REGIME_OVER, True)
+        else:
+            inflation = 1.0 / denom
+            var_n = sigma**2 / n * d2 * inflation
+            bias_n = kn**2 * signal_functional(s, v, kn, 2) * inflation
+            sf1 = signal_functional(s, v, kn, 1)
+            for i in above:
+                mi = ms[i].item()
+                bias = bias_n + kn * sf1 * n / (mi - n)
+                rows[i] = (bias, var_n + sigma**2 * n / (mi - n), kn, REGIME_OVER, False)
 
-    # m > n
-    if d < n:
-        return minnorm_risk(s, v, n, sigma)
-    if d == n:
-        return _diverged(s, REGIME_OVER)
-    denom_m = (m - n) / n
-    if denom_m <= DIVERGENCE_FLOOR:
-        return _diverged(s, REGIME_OVER)
-    kn = kappa_at_dof(s, float(n)).kappa
-    d2 = df2(s, kn)
-    denom = 1.0 - d2 / n
-    if denom <= DIVERGENCE_FLOOR:
-        return _diverged(s, REGIME_OVER, kappa=kn)
-    inflation = 1.0 / denom
-    variance = sigma**2 / n * d2 * inflation + sigma**2 * n / (m - n)
-    bias = (
-        kn**2 * signal_functional(s, v, kn, 2) * inflation
-        + kn * signal_functional(s, v, kn, 1) * n / (m - n)
-    )
-    return _breakdown(bias, variance, kn, s, REGIME_OVER)
+    out = _breakdowns(s, *zip(*rows)) if rows else []
+    return out[0] if scalar else out

@@ -198,16 +198,16 @@ def test_criterion_5_fig4_reproduction(fig4_run):
 def test_criterion_6_fig5_reproduction_and_shapes(fig5_run, fig4_run):
     config5, inst5, rows5 = fig5_run
     failures = _band_failures(rows5, config5.n)
-    fine_grid = range(5, config5.n, 5)
+    fine_grid = list(range(5, config5.n, 5))
 
     spec5, signal5 = inst5.spectrum(), inst5.signal()
-    bias5 = [rp_risk(spec5, signal5, config5.n, m, config5.sigma_noise).bias for m in fine_grid]
+    bias5 = [br.bias for br in rp_risk(spec5, signal5, config5.n, fine_grid, config5.sigma_noise)]
     if not all(a < b for a, b in zip(bias5, bias5[1:])):
         failures.append(("fig5_bias_not_monotone",))
 
     config4, inst4, _, _ = fig4_run
     spec4, signal4 = inst4.spectrum(), inst4.signal()
-    bias4 = [rp_risk(spec4, signal4, config4.n, m, config4.sigma_noise).bias for m in fine_grid]
+    bias4 = [br.bias for br in rp_risk(spec4, signal4, config4.n, fine_grid, config4.sigma_noise)]
     k = int(np.argmin(bias4))
     interior = 0 < k < len(bias4) - 1 and bias4[0] > bias4[k] < bias4[-1]
     if not interior:

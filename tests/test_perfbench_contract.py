@@ -3,11 +3,14 @@
 perfbench wraps library functions by (module, attribute), each workload
 lists the spans it must record, and each workload runs ddlab CLI commands.
 A renamed or deleted function, or a renamed or dropped flag, would
-otherwise surface only as a crashed benchmark run.
+otherwise surface only as a crashed benchmark run; so would a layer that a
+workload no longer calls by its traced name, or a span statistic that JSON
+cannot hold.
 """
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -59,3 +62,35 @@ def test_workload_commands_parse(workload):
     for command in commands:
         args = cli.build_parser().parse_args(command.argv)
         assert args.handler is HANDLERS[workload], (workload, command.argv[0])
+
+
+# Small analogues of the workloads' commands: the same subcommands and
+# flags at n = 20, d = 40, which reach the same code paths in well under a
+# second each.
+SMALL = {"--n": "20", "--d": "40"}
+
+
+def _small(argv: list[str]) -> list[str]:
+    return [SMALL.get(flag, value) for flag, value in zip([None] + argv, argv)]
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_traced_workload_records_every_layer(workload, tmp_path, monkeypatch):
+    tracing = _load("tracing")
+    # Register every lookup site the tracer is about to patch, so that the
+    # originals come back when the test ends.
+    originals = {id(getattr(importlib.import_module(mod), attr)) for mod, attr, _ in TRACED.values()}
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "ddlab" or name.startswith("ddlab.")):
+            for key, value in list(vars(module).items()):
+                if id(value) in originals:
+                    monkeypatch.setattr(module, key, value)
+    monkeypatch.chdir(tmp_path)
+    tracer = tracing.Tracer()
+    tracer.install()
+    for command in WORKLOADS[workload].commands(_workloads.Inputs.from_seed(0)):
+        assert tracer.wrap(tracing.ROOT, cli.main)(_small(command.argv)) == 0, command.argv[0]
+    layers = tracing.aggregate(tracer.spans)
+    silent = [name for name in WORKLOADS[workload].layers if layers.get(name, {}).get("calls", 0) < 1]
+    assert not silent, (workload, silent)
+    json.dumps(tracer.spans)
