@@ -562,13 +562,15 @@ def _cmd_probe_traces(args) -> int:
         sampler=args.sampler, master_seed=args.master_seed, mode="probe",
     )
     inst = build_instance(config)
-    sigma, eye, sqrt_cov = inst.covariance(), np.eye(args.d), inst.sqrt_covariance()
+    # Every probe input is in Sigma's eigenbasis, where A = Sigma and B = I
+    # are the diagonals e and 1, and the draw X = Z Sigma^(1/2) is Z Q e^(1/2).
+    q, root, ones = inst.sigma_basis, np.sqrt(inst.sigma_eigs), np.ones(args.d)
     lines = ["seed,lambda,name,lhs,rhs,rel_gap"]
     worst = 0.0
     for seed_ix in range(args.seeds):
         seed = child_seed(config.master_seed, seed_ix, 0)
-        x = sample_matrix(args.n, args.d, config.sampler, seed) @ sqrt_cov
-        for lam, probes in zip(lams, probe_trace_equivalents(inst, x, sigma, eye, lams)):
+        x = (sample_matrix(args.n, args.d, config.sampler, seed) @ q) * root
+        for lam, probes in zip(lams, probe_trace_equivalents(inst, x, inst.sigma_eigs, ones, lams)):
             for p in probes:
                 worst = max(worst, p.rel_gap)
                 lines.append(",".join(map(_fmt, (seed_ix, lam, p.name, p.lhs, p.rhs, p.rel_gap))))

@@ -462,21 +462,49 @@ class TraceProbe:
         return abs(self.lhs - self.rhs) / max(abs(self.rhs), 1e-300)
 
 
+def _times(m, p):
+    """m diag(p) for a vector p, else m @ p."""
+    return m * p if p.ndim == 1 else m @ p
+
+
+def _diagonal(m):
+    """The diagonal of m, or m itself for a vector standing for diag(m)."""
+    return m if m.ndim == 1 else np.diagonal(m)
+
+
+def _trace_product(p, s) -> float:
+    """tr(P S); when either is a vector, only the other's diagonal counts."""
+    if p.ndim == 1 or s.ndim == 1:
+        return float(np.sum(_diagonal(p) * _diagonal(s)))
+    return float(np.sum(p * s.T))
+
+
+def _eigenbasis_operand(m, d: int, name: str) -> np.ndarray:
+    """A d x d symmetric matrix, or a finite d-vector standing for diag(m)."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 1:
+        m = as_sym_matrix(m, name=name)
+    elif not np.isfinite(m).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    if m.shape not in ((d,), (d, d)):
+        raise ValueError(f"{name} has shape {m.shape}, expected ({d},) or ({d}, {d})")
+    return m
+
+
 def _probe_pair(m, p, s) -> tuple[float, float]:
-    """tr(M P) and tr(M P M S)."""
-    mp = m @ p
-    return float(np.trace(mp)), float(np.sum(mp * (m @ s).T))
+    """tr(M P) and tr(M P M S) for a matrix M."""
+    mp = _times(m, p)
+    return float(np.trace(mp)), float(np.sum(mp * _times(m, s).T))
 
 
 def _kernel_sandwiches(xq, a, b, inv_root) -> list[np.ndarray]:
-    """C_a = X~ a X~', C_b = X~ b X~' and C_ab = (X~ a)(X~ b)' of the rotated
-    draw X~, then K_a and K_b, the first two with X~ scaled (in place) by
-    e^(-1/2)."""
-    xa, xb = xq @ a, xq @ b
+    """C_a = X~ a X~', C_b = X~ b X~' and C_ab = (X~ a)(X~ b)' of the draw X~,
+    then K_a and K_b, the first two with X~ scaled by e^(-1/2)."""
+    xa, xb = _times(xq, a), _times(xq, b)
     sandwiches = [xa @ xq.T, xb @ xq.T, xa @ xb.T]
     del xa, xb
-    xq *= inv_root
-    return sandwiches + [(xq @ a) @ xq.T, (xq @ b) @ xq.T]
+    xw = xq * inv_root
+    return sandwiches + [_times(xw, a) @ xw.T, _times(xw, b) @ xw.T]
 
 
 def _kernel_side_traces(gram, sandwiches, tr_a, inner, lam) -> tuple[float, ...]:
@@ -525,13 +553,16 @@ def _feature_side_traces(gram, n, a, b, inv_root, lam) -> tuple[float, ...]:
 
 
 def probe_trace_equivalents(
-    inst: ProblemInstance, X: np.ndarray, A, B, lams
+    inst: ProblemInstance, xq: np.ndarray, a, b, lams
 ) -> list[list[TraceProbe]]:
     """Empirical spectral traces against their deterministic equivalents.
 
-    For each penalty in ``lams``, in input order, six pairs for symmetric A, B:
-    tr(A M) and tr(A M B M) of three operators M, all in Sigma's eigenbasis
-    (eigenvalues e), into which A, B and X are rotated once: the shrinkage
+    Every input is in Sigma's eigenbasis (Sigma = Q diag(e) Q'): ``xq`` is
+    the draw X~ = X Q, and ``a`` = Q'AQ and ``b`` = Q'BQ are each a d x d
+    symmetric matrix or a d-vector standing for a diagonal one (A = Sigma and
+    B = I are e and a vector of ones); a bad operand raises ValueError
+    naming A or B.  For each penalty in ``lams``, in input order, six
+    pairs: tr(A M) and tr(A M B M) of three operators M: the shrinkage
     W = Shat (Shat + lam I)^-1, the resolvent (Shat + lam I)^-1 = (I - W)/lam
     and the kernel-side Z'(Z Sigma Z' + n lam I)^-1 Z of the draw
     Z = X Sigma^(-1/2), which is W scaled by e^(-1/2) on both sides.  One
@@ -544,10 +575,12 @@ def probe_trace_equivalents(
     lams = [float(lam) for lam in lams]
     if not all(0 < lam < math.inf for lam in lams):
         raise ValueError(f"lambdas must be finite and positive, got {lams}")
-    q, e = inst.sigma_basis, inst.sigma_eigs
-    a = q.T @ as_sym_matrix(A, name="A") @ q
-    b = q.T @ as_sym_matrix(B, name="B") @ q
-    n = X.shape[0]
+    e, d = inst.sigma_eigs, inst.d
+    xq = np.asarray(xq, dtype=float)
+    if xq.ndim != 2 or xq.shape[1] != d:
+        raise ValueError(f"xq has shape {xq.shape}, expected (*, {d})")
+    a, b = _eigenbasis_operand(a, d, "A"), _eigenbasis_operand(b, d, "B")
+    n = xq.shape[0]
     spec = inst.spectrum()
     rhs = []
     for lam in lams:
@@ -564,24 +597,21 @@ def probe_trace_equivalents(
         )
         row = []
         for name, diag, lin_scale, quad_scale, weight, tilt in equivalents:
-            ca, cb = (float(np.sum(np.diag(m) * tilt * rs**2)) for m in (a, b))
-            quad = float(np.sum((a * diag) * (b * diag).T)) + weight * ca * cb * corr
+            ca, cb = (float(np.sum(_diagonal(m) * tilt * rs**2)) for m in (a, b))
+            quad = _trace_product(_times(a, diag), _times(b, diag)) + weight * ca * cb * corr
             row += [
-                (f"{name}_linear", lin_scale * float(np.sum(np.diag(a) * diag))),
+                (f"{name}_linear", lin_scale * float(np.sum(_diagonal(a) * diag))),
                 (f"{name}_quadratic", quad_scale * quad),
             ]
         rhs.append(row)
-    inv_root, xq = 1.0 / np.sqrt(e), X @ q
-    if inst.d > n:
-        tr_a, inner = float(np.trace(a)), float(np.sum(a * b.T))
+    inv_root = 1.0 / np.sqrt(e)
+    if d > n:
+        tr_a, inner = float(np.sum(_diagonal(a))), _trace_product(a, b)
         sandwiches = _kernel_sandwiches(xq, a, b, inv_root)
-        # The n x n sandwiches carry all the traces need of the d x d a and b.
-        del a, b, xq
-        gram = X @ X.T
+        gram = xq @ xq.T
         lhs = [_kernel_side_traces(gram, sandwiches, tr_a, inner, lam) for lam in lams]
     else:
         gram = xq.T @ xq
-        del xq
         lhs = [_feature_side_traces(gram, n, a, b, inv_root, lam) for lam in lams]
     return [
         [TraceProbe(name, lv, rv) for (name, rv), lv in zip(rhs_row, lhs_row, strict=True)]

@@ -155,15 +155,17 @@ def test_criterion_4_trace_equivalent_probes():
     failures = []
     for config in configs:
         inst = build_instance(config)
-        sigma, eye, sqrt_cov = inst.covariance(), np.eye(config.d), inst.sqrt_covariance()
+        # In Sigma's eigenbasis A = Sigma and B = I are the diagonals e and 1.
+        q, root, ones = inst.sigma_basis, np.sqrt(inst.sigma_eigs), np.ones(config.d)
         gaps: dict[tuple[float, str], list[float]] = {}
         lams = (0.1, 1.0)
         for seed_ix in range(10):
             z = sample_matrix(
                 config.n, config.d, "rademacher", child_seed(config.master_seed, seed_ix)
             )
-            x = z @ sqrt_cov
-            for lam, probes in zip(lams, probe_trace_equivalents(inst, x, sigma, eye, lams)):
+            x = (z @ q) * root
+            probe_rows = probe_trace_equivalents(inst, x, inst.sigma_eigs, ones, lams)
+            for lam, probes in zip(lams, probe_rows):
                 for probe in probes:
                     gaps.setdefault((lam, probe.name), []).append(probe.rel_gap)
                     if probe.rel_gap > 0.05:

@@ -328,6 +328,22 @@ class TestMain:
         ):
             assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 0, argv
 
+    def test_probe_traces_never_form_dense_covariance(self, tmp_path, monkeypatch):
+        import ddlab.empirical
+
+        def no_dense(self):
+            raise AssertionError("dense Sigma or Sigma^(1/2) formed for the probes")
+
+        monkeypatch.setattr(ddlab.empirical.ProblemInstance, "covariance", no_dense)
+        monkeypatch.setattr(ddlab.empirical.ProblemInstance, "sqrt_covariance", no_dense)
+        for n, d in ((40, 60), (60, 40), (50, 50)):
+            out = tmp_path / f"probes-{n}-{d}.csv"
+            assert main([
+                "probe-traces", "--n", str(n), "--d", str(d), "--spectrum", "two_dirac:0.5,1,4",
+                "--lambdas", "0.1,1", "--seeds", "2", "--out", str(out),
+            ]) == 0, (n, d)
+            assert len(out.read_text().strip().splitlines()) == 1 + 2 * 2 * 6
+
     def test_unreadable_config_exit_one(self, tmp_path, capsys):
         missing = tmp_path / "none.json"
         assert main(["theory", "--config", str(missing), "--out", str(tmp_path / "o.csv")]) == 1

@@ -543,7 +543,7 @@ def medium_setup():
     )
     inst = build_instance(cfg)
     z = sample_matrix(800, 800, "rademacher", child_seed(3, 0, 0))
-    return inst, z @ inst.sqrt_covariance()
+    return inst, (z @ inst.sigma_basis) * np.sqrt(inst.sigma_eigs)
 
 
 class TestTraceProbes:
@@ -563,7 +563,7 @@ class TestTraceProbes:
         inst, x = medium_setup
         lams = (0.5, 1.0)
         for lam, probes in zip(lams, probe_trace_equivalents(
-            inst, x, inst.covariance(), np.eye(800), lams
+            inst, x, inst.sigma_eigs, np.ones(800), lams
         )):
             for p in probes:
                 assert p.rel_gap <= 0.05, (p.name, lam, p.rel_gap)
@@ -571,8 +571,8 @@ class TestTraceProbes:
     def test_rank_one_signal_pair(self, medium_setup):
         # The pieces of the ridge bias derivation: A = theta theta', B = Sigma.
         inst, x = medium_setup
-        outer = np.outer(inst.theta_star, inst.theta_star)
-        [probes] = probe_trace_equivalents(inst, x, outer, inst.covariance(), [0.5])
+        coords = inst.sigma_basis.T @ inst.theta_star
+        [probes] = probe_trace_equivalents(inst, x, np.outer(coords, coords), inst.sigma_eigs, [0.5])
         for p in probes:
             assert p.rel_gap <= 0.10, (p.name, p.rel_gap)
 
@@ -590,14 +590,24 @@ class TestTraceProbes:
         eigs = np.logspace(-3.0, 1.0, d) if spread else None
         inst = small_instance(n=n, d=d, seed=n + d, eigs=eigs)
         x = build_design(inst, sample_matrix(n, d, "rademacher", n * d))
+        q, e = inst.sigma_basis, inst.sigma_eigs
         sym = sample_matrix(d, d, "gaussian", 5)
+        sigma, outer = inst.covariance(), np.outer(inst.theta_star, inst.theta_star)
+        tilt = np.diag(np.linspace(-1.0, 2.0, d))
+        coords = q.T @ inst.theta_star
+        # (A, B) in the original basis, then the probe's (a, b) in Sigma's
+        # eigenbasis: rotated matrices, the vector pair and two mixed pairs.
         pairs = [
-            (inst.covariance(), np.eye(d)),
-            (np.outer(inst.theta_star, inst.theta_star), inst.covariance()),
-            (sym + sym.T, np.diag(np.linspace(-1.0, 2.0, d))),
+            (sigma, np.eye(d), q.T @ sigma @ q, q.T @ np.eye(d) @ q),
+            (outer, sigma, q.T @ outer @ q, q.T @ sigma @ q),
+            (sym + sym.T, tilt, q.T @ (sym + sym.T) @ q, q.T @ tilt @ q),
+            (sigma, np.eye(d), e, np.ones(d)),
+            (sigma, tilt, e, q.T @ tilt @ q),
+            (outer, sigma, np.outer(coords, coords), e),
         ]
-        for A, B in pairs:
-            for lam, probes in zip(lams, probe_trace_equivalents(inst, x, A, B, lams), strict=True):
+        for A, B, a, b in pairs:
+            rows = probe_trace_equivalents(inst, x @ q, a, b, lams)
+            for lam, probes in zip(lams, rows, strict=True):
                 ref = eigh_probe_reference(inst, x, A, B, lam)
                 for p in probes:
                     assert p.lhs == pytest.approx(ref[p.name], rel=1e-10), (p.name, lam)
@@ -609,8 +619,8 @@ class TestTraceProbes:
         n, d = 60, 100
         atoms, mass = np.array([1.0, 4.0]), np.array([d / 2, d / 2])
         inst = small_instance(n=n, d=d, seed=17, eigs=np.repeat(atoms, d // 2))
-        x = build_design(inst, sample_matrix(n, d, "gaussian", 18))
-        [probes] = probe_trace_equivalents(inst, x, inst.covariance(), np.eye(d), [lam])
+        x = (sample_matrix(n, d, "gaussian", 18) @ inst.sigma_basis) * np.sqrt(inst.sigma_eigs)
+        [probes] = probe_trace_equivalents(inst, x, inst.sigma_eigs, np.ones(d), [lam])
 
         def lam_of(k):
             return k * (1.0 - np.sum(mass * atoms / (atoms + k)) / n) - lam
@@ -632,6 +642,37 @@ class TestTraceProbes:
         assert [p.name for p in probes] == list(expected)
         for p in probes:
             assert p.rhs == pytest.approx(expected[p.name], rel=1e-12), p.name
+
+    @pytest.mark.parametrize("n, d", [(30, 50), (50, 30)])
+    def test_vector_operands_match_diagonal_matrices(self, n, d):
+        # A d-vector stands for the diagonal matrix it spans, alone or next to
+        # a matrix, in the traces and in their equivalents alike.
+        inst = small_instance(n=n, d=d, seed=31)
+        x = sample_matrix(n, d, "gaussian", 32)
+        sym = sample_matrix(d, d, "gaussian", 33)
+        u, v = np.linspace(0.5, 2.0, d), inst.sigma_eigs
+        for a, b in ((u, v), (u, sym + sym.T), (sym + sym.T, v)):
+            dense = [np.diag(m) if m.ndim == 1 else m for m in (a, b)]
+            got = probe_trace_equivalents(inst, x, a, b, (0.1, 1.0))
+            want = probe_trace_equivalents(inst, x, *dense, (0.1, 1.0))
+            for row, ref_row in zip(got, want, strict=True):
+                for p, ref in zip(row, ref_row, strict=True):
+                    assert p.rhs == pytest.approx(ref.rhs, rel=1e-12), (p.name, a.ndim, b.ndim)
+                    assert p.lhs == pytest.approx(ref.lhs, rel=1e-10), (p.name, a.ndim, b.ndim)
+
+    @pytest.mark.parametrize("which", ["A", "B"])
+    def test_rejects_bad_operands(self, which):
+        n, d = 20, 30
+        inst = small_instance(n=n, d=d, seed=34)
+        x = sample_matrix(n, d, "gaussian", 35)
+        ones = np.ones(d)
+        for bad in (np.ones(d - 1), np.eye(d + 1), np.where(np.arange(d) == 3, np.nan, 1.0),
+                    np.where(np.arange(d) == 3, np.inf, 1.0), np.ones((d, 2))):
+            pair = (bad, ones) if which == "A" else (ones, bad)
+            with pytest.raises(ValueError, match=f"^{which} "):
+                probe_trace_equivalents(inst, x, *pair, [0.5])
+        with pytest.raises(ValueError, match="xq"):
+            probe_trace_equivalents(inst, x.T, ones, ones, [0.5])
 
     def test_requires_positive_lambda(self, medium_setup):
         inst, x = medium_setup
@@ -663,7 +704,7 @@ def test_one_shifted_solve_per_draw(monkeypatch):
     for n, d in ((30, 50), (50, 30)):
         probe_inst = small_instance(n=n, d=d, seed=91)
         probe_x = build_design(probe_inst, sample_matrix(n, d, "rademacher", 92))
-        draws.append((probe_inst, probe_x, probe_inst.covariance()))
+        draws.append((probe_inst, probe_x @ probe_inst.sigma_basis))
     monkeypatch.setattr(emp, "solve_shifted", counting_solve)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(emp.ProblemInstance, "covariance", no_dense_covariance)
@@ -674,12 +715,18 @@ def test_one_shifted_solve_per_draw(monkeypatch):
             before = calls["solve_shifted"]
             conditional_risk_ridge(inst, x, lam)
             assert calls["solve_shifted"] - before == 1, (n, d, lam)
-    for probe_inst, probe_x, sigma in draws:
+
+    def no_basis(self):
+        raise AssertionError("the probes read the eigenbasis their inputs are in")
+
+    monkeypatch.setattr(emp.ProblemInstance, "sigma_basis", property(no_basis))
+    for probe_inst, probe_x in draws:
         side = min(probe_x.shape)
+        ones = np.ones(probe_inst.d)
         for lams in ((0.5,), (0.1, 0.5, 1.0)):
             calls["solve_shifted"] = 0
             shapes.clear()
-            probes = probe_trace_equivalents(probe_inst, probe_x, sigma, np.eye(probe_inst.d), lams)
+            probes = probe_trace_equivalents(probe_inst, probe_x, probe_inst.sigma_eigs, ones, lams)
             assert len(probes) == len(lams)
             assert calls == {"solve_shifted": len(lams), "eigh": 0}
             # Every solve is on the smaller Gram matrix, with a square right-hand side.
