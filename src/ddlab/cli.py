@@ -29,8 +29,10 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, SweepConfig, default_m_grid
 from .empirical import (
+    GridAggregate,
     NumericalError,
     ProblemInstance,
+    ReplicationResult,
     build_instance,
     child_seed,
     conditional_risk_projected,
@@ -38,6 +40,7 @@ from .empirical import (
     run_replications,
     sample_matrix,
     seeded_instance,
+    summarize_point,
 )
 from .selfconsistent import kappa_at_dof, kappa_of_lambda
 from .spectrum import (
@@ -84,20 +87,35 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class CurveRow:
-    """One emitted grid point; empirical fields are None in theory mode."""
+    """One emitted grid point; a field the run does not compute stays None."""
 
     m_or_lambda: float
-    delta: float | None
-    bias_theory: float | None
-    var_theory: float | None
-    total_theory: float | None
-    diverged_flag: int | None
-    bias_emp_mean: float | None
-    bias_emp_std: float | None
-    var_emp_mean: float | None
-    var_emp_std: float | None
-    reps_used: int | None
-    kappa: float | None
+    delta: float | None = None
+    bias_theory: float | None = None
+    var_theory: float | None = None
+    total_theory: float | None = None
+    diverged_flag: int | None = None
+    bias_emp_mean: float | None = None
+    bias_emp_std: float | None = None
+    var_emp_mean: float | None = None
+    var_emp_std: float | None = None
+    reps_used: int | None = None
+    kappa: float | None = None
+
+
+def _curve_row(
+    value, delta: float | None, br: RiskBreakdown | None, agg: GridAggregate | None
+) -> CurveRow:
+    """The row of one grid point from its theory and Monte Carlo summaries."""
+    row = CurveRow(m_or_lambda=float(value), delta=delta)
+    if br is not None:
+        row.bias_theory, row.var_theory, row.total_theory = br.bias, br.variance, br.total
+        row.diverged_flag, row.kappa = int(br.diverged), br.kappa
+    if agg is not None:
+        row.bias_emp_mean, row.bias_emp_std = agg.bias_mean, agg.bias_std
+        row.var_emp_mean, row.var_emp_std = agg.var_mean, agg.var_std
+        row.reps_used = agg.reps_used
+    return row
 
 
 def _fmt(value) -> str:
@@ -112,12 +130,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_curve_csv(path, rows: list[CurveRow]) -> None:
+def _write_csv(path, header: list[str], rows) -> None:
+    """Write a CLI CSV: every cell through _fmt, LF line endings, and the
+    parent directory created if missing."""
     path = Path(path)
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(getattr(row, col)) for col in CSV_COLUMNS))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [",".join(header)]
+    lines += [",".join(map(_fmt, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def write_curve_csv(path, rows: list[CurveRow]) -> None:
+    _write_csv(path, CSV_COLUMNS, ([getattr(row, col) for col in CSV_COLUMNS] for row in rows))
 
 
 def read_curve_csv(path) -> list[CurveRow]:
@@ -151,19 +175,17 @@ def read_curve_csv(path) -> list[CurveRow]:
 
 
 def write_metadata(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Write a run's .meta.json, stamped with the artifact version."""
+    doc = {"artifact_version": __version__, **payload}
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def write_replication_csv(path, sweep) -> None:
     """Emit the raw replication stream in (grid index, rep index) order."""
-    lines = [",".join(REPLICATION_CSV_COLUMNS)]
-    for (gi, r) in sorted(sweep.results):
-        res = sweep.results[(gi, r)]
-        lines.append(
-            f"{gi},{_fmt(res.m)},{res.rep_index},{_fmt(res.bias)},"
-            f"{_fmt(res.variance)},{_fmt(res.kappa_hat)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_csv(path, REPLICATION_CSV_COLUMNS, (
+        (gi, res.m, res.rep_index, res.bias, res.variance, res.kappa_hat)
+        for (gi, _), res in sorted(sweep.results.items())
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -197,44 +219,20 @@ def sweep_rows(config: SweepConfig, record_kappa: bool = False):
     if config.mode in ("empirical", "both"):
         empirical = run_replications(config, inst, record_kappa=record_kappa)
 
-    rows = []
-    for gi, value in enumerate(grid):
-        delta = value / config.n if config.grid_kind == "m" else None
-        row = CurveRow(
-            m_or_lambda=float(value),
-            delta=delta,
-            bias_theory=None,
-            var_theory=None,
-            total_theory=None,
-            diverged_flag=None,
-            bias_emp_mean=None,
-            bias_emp_std=None,
-            var_emp_mean=None,
-            var_emp_std=None,
-            reps_used=None,
-            kappa=None,
+    rows = [
+        _curve_row(
+            value,
+            value / config.n if config.grid_kind == "m" else None,
+            theory[gi] if theory is not None else None,
+            empirical.aggregates[gi] if empirical is not None else None,
         )
-        if theory is not None:
-            br = theory[gi]
-            row.bias_theory = br.bias
-            row.var_theory = br.variance
-            row.total_theory = br.total
-            row.diverged_flag = int(br.diverged)
-            row.kappa = br.kappa
-        if empirical is not None:
-            agg = empirical.aggregates[gi]
-            row.bias_emp_mean = agg.bias_mean
-            row.bias_emp_std = agg.bias_std
-            row.var_emp_mean = agg.var_mean
-            row.var_emp_std = agg.var_std
-            row.reps_used = agg.reps_used
-        rows.append(row)
+        for gi, value in enumerate(grid)
+    ]
     return rows, inst, empirical
 
 
 def _sweep_metadata(config: SweepConfig, inst: ProblemInstance, assumptions: dict | None = None):
     return {
-        "artifact_version": __version__,
         "config": config.to_dict(),
         "normalizations": {
             "trace_sigma": float(np.sum(inst.sigma_eigs)),
@@ -255,34 +253,29 @@ def _sweep_metadata(config: SweepConfig, inst: ProblemInstance, assumptions: dic
 # Presets
 # ---------------------------------------------------------------------------
 
+# The fields that set each sweep preset apart; preset_config adds the rest.
+_PRESET_FIELDS = {
+    # Non-isotropic double descent overview: unit-trace 1/k spectrum,
+    # unit signal strength, noise 1/2 so the noise floor is 1/4,
+    # 20 x 20 = 400 (design, projection) pairs per grid point.
+    "fig1": dict(sigma_noise=0.5, spectrum_kind="inverse_index", replications=400, master_seed=101),
+    "fig4": dict(sigma_noise=1.0, spectrum_kind="inverse_index", replications=40, master_seed=104),
+    "fig5": dict(
+        sigma_noise=1.0, spectrum_kind="isotropic", spectrum_params=[1.0 / 400.0],
+        replications=40, master_seed=105,
+    ),
+}
+
+
 def preset_config(name: str) -> SweepConfig:
     """Sweep configurations behind the figure presets (fig1, fig4, fig5)."""
-    if name == "fig1":
-        # Non-isotropic double descent overview: unit-trace 1/k spectrum,
-        # unit signal strength, noise 1/2 so the noise floor is 1/4,
-        # 20 x 20 = 400 (design, projection) pairs per grid point.
-        return SweepConfig(
-            n=200, d=400, sigma_noise=0.5, spectrum_kind="inverse_index",
-            signal_kind="random_gaussian_normalized", signal_seed=11,
-            m_grid=default_m_grid(200), replications=400, sampler="rademacher",
-            master_seed=101, mode="both",
-        )
-    if name == "fig4":
-        return SweepConfig(
-            n=200, d=400, sigma_noise=1.0, spectrum_kind="inverse_index",
-            signal_kind="random_gaussian_normalized", signal_seed=11,
-            m_grid=default_m_grid(200), replications=40, sampler="rademacher",
-            master_seed=104, mode="both",
-        )
-    if name == "fig5":
-        return SweepConfig(
-            n=200, d=400, sigma_noise=1.0, spectrum_kind="isotropic",
-            spectrum_params=[1.0 / 400.0],
-            signal_kind="random_gaussian_normalized", signal_seed=11,
-            m_grid=default_m_grid(200), replications=40, sampler="rademacher",
-            master_seed=105, mode="both",
-        )
-    raise UsageError(f"no sweep preset named {name!r}")
+    if name not in _PRESET_FIELDS:
+        raise UsageError(f"no sweep preset named {name!r}")
+    return SweepConfig(
+        n=200, d=400, signal_kind="random_gaussian_normalized", signal_seed=11,
+        m_grid=default_m_grid(200), sampler="rademacher", mode="both",
+        **_PRESET_FIELDS[name],
+    )
 
 
 _PRESET_ASSUMPTIONS = {
@@ -318,9 +311,10 @@ def run_fig2(
     """Convergence study: per-n curve tables plus gap summaries.
 
     Each realization draws a fresh eigenbasis, target and design; the
-    projection is redrawn per grid point.  Gap summaries report both the
-    mean over realizations of |replication - theory| and the gap of the
-    replication mean, per curve.
+    projection is redrawn per grid point.  Each grid point's draws are
+    summarized by the rule every sweep uses (``summarize_point``).  Gap
+    summaries report both the mean over retained draws of
+    |replication - theory| and the gap of the replication mean, per curve.
     """
     tables: dict[int, list[CurveRow]] = {}
     summary: dict[int, dict] = {}
@@ -331,7 +325,7 @@ def run_fig2(
         rows = []
         gaps_bias, gaps_var = [], []
         gom_bias, gom_var = [], []
-        per_real: dict[int, list[tuple[float, float]]] = {j: [] for j in range(len(deltas))}
+        per_real: dict[int, list[ReplicationResult | None]] = {j: [] for j in range(len(deltas))}
         for r in range(realizations):
             inst = seeded_instance(
                 n, 1.0, eigs,
@@ -343,29 +337,24 @@ def run_fig2(
                 s = sample_matrix(
                     inst.d, m, sampler, child_seed(master_seed, n, r, 1, j)
                 )
-                bias, variance = conditional_risk_projected(inst, x, s)
-                per_real[j].append((max(bias, 0.0), max(variance, 0.0)))
+                try:
+                    bias, variance = conditional_risk_projected(inst, x, s)
+                except (NumericalError, np.linalg.LinAlgError):
+                    per_real[j].append(None)
+                    continue
+                per_real[j].append(
+                    ReplicationResult(rep_index=r, m=float(m), bias=bias, variance=variance)
+                )
         theory = rp_risk(spec_th, signal_th, n, ms, 1.0)
         for j, (delta, m, br) in enumerate(zip(deltas, ms, theory)):
-            vals = per_real[j]
-            b = np.array([t[0] for t in vals])
-            v = np.array([t[1] for t in vals])
+            agg, kept = summarize_point(m, per_real[j])
+            b = np.array([res.bias for res in kept])
+            v = np.array([res.variance for res in kept])
             gaps_bias.append(float(np.mean(np.abs(b - br.bias))))
             gaps_var.append(float(np.mean(np.abs(v - br.variance))))
-            gom_bias.append(abs(float(b.mean()) - br.bias))
-            gom_var.append(abs(float(v.mean()) - br.variance))
-            rows.append(
-                CurveRow(
-                    m_or_lambda=float(m), delta=delta,
-                    bias_theory=br.bias, var_theory=br.variance,
-                    total_theory=br.total, diverged_flag=int(br.diverged),
-                    bias_emp_mean=float(b.mean()),
-                    bias_emp_std=float(b.std(ddof=1)) if len(b) > 1 else None,
-                    var_emp_mean=float(v.mean()),
-                    var_emp_std=float(v.std(ddof=1)) if len(v) > 1 else None,
-                    reps_used=len(vals), kappa=br.kappa,
-                )
-            )
+            gom_bias.append(abs(agg.bias_mean - br.bias))
+            gom_var.append(abs(agg.var_mean - br.variance))
+            rows.append(_curve_row(m, delta, br, agg))
         tables[n] = rows
         summary[n] = {
             "mean_abs_gap_bias": float(np.mean(gaps_bias)),
@@ -397,17 +386,10 @@ def run_fig3(gammas=(0.5, 1.0, 2.0), lambda_max: float = 3.0, points: int = 25):
         spec = make_isotropic(d, 1.0)
         masses = (spec.weights / d) / 1.0
         signal = SignalMeasure(masses=masses)
-        for lam, br in zip(lams, ridge_risk(spec, signal, n, 1.0, lams)):
-            rows.append(
-                CurveRow(
-                    m_or_lambda=float(lam), delta=gamma,
-                    bias_theory=br.bias, var_theory=br.variance,
-                    total_theory=br.total, diverged_flag=int(br.diverged),
-                    bias_emp_mean=None, bias_emp_std=None,
-                    var_emp_mean=None, var_emp_std=None, reps_used=None,
-                    kappa=br.kappa,
-                )
-            )
+        rows += [
+            _curve_row(lam, gamma, br, None)
+            for lam, br in zip(lams, ridge_risk(spec, signal, n, 1.0, lams))
+        ]
     return rows
 
 
@@ -507,7 +489,6 @@ def _emit_sweep(config: SweepConfig, out_path: Path, record_kappa: bool, assumpt
     Returns the Monte Carlo results (None in theory mode).
     """
     rows, inst, sweep = sweep_rows(config, record_kappa=record_kappa)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_curve_csv(out_path, rows)
     write_metadata(out_path.with_suffix(".meta.json"), _sweep_metadata(config, inst, assumptions))
     print(f"wrote {out_path} ({len(rows)} rows)")
@@ -565,7 +546,7 @@ def _cmd_probe_traces(args) -> int:
     # Every probe input is in Sigma's eigenbasis, where A = Sigma and B = I
     # are the diagonals e and 1, and the draw X = Z Sigma^(1/2) is Z Q e^(1/2).
     q, root, ones = inst.sigma_basis, np.sqrt(inst.sigma_eigs), np.ones(args.d)
-    lines = ["seed,lambda,name,lhs,rhs,rel_gap"]
+    rows = []
     worst = 0.0
     for seed_ix in range(args.seeds):
         seed = child_seed(config.master_seed, seed_ix, 0)
@@ -573,14 +554,12 @@ def _cmd_probe_traces(args) -> int:
         for lam, probes in zip(lams, probe_trace_equivalents(inst, x, inst.sigma_eigs, ones, lams)):
             for p in probes:
                 worst = max(worst, p.rel_gap)
-                lines.append(",".join(map(_fmt, (seed_ix, lam, p.name, p.lhs, p.rhs, p.rel_gap))))
+                rows.append((seed_ix, lam, p.name, p.lhs, p.rhs, p.rel_gap))
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_csv(out, ["seed", "lambda", "name", "lhs", "rhs", "rel_gap"], rows)
     write_metadata(
         out.with_suffix(".meta.json"),
         {
-            "artifact_version": __version__,
             "config": config.to_dict(),
             "lambdas": lams,
             "seeds": args.seeds,
@@ -595,7 +574,6 @@ def _cmd_probe_traces(args) -> int:
 def _cmd_reproduce(args) -> int:
     name = args.figure
     out_dir = Path(args.out or f"reproduce_{name}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     if name in ("fig1", "fig4", "fig5"):
         _emit_sweep(
             preset_config(name), out_dir / f"{name}.csv",
@@ -609,7 +587,6 @@ def _cmd_reproduce(args) -> int:
         write_metadata(
             out_dir / "fig2.meta.json",
             {
-                "artifact_version": __version__,
                 "preset": "fig2",
                 "gamma": 2.0,
                 "spectrum": "two atoms at 1 and 4, equal halves",
@@ -631,7 +608,6 @@ def _cmd_reproduce(args) -> int:
         write_metadata(
             out_dir / "fig3.meta.json",
             {
-                "artifact_version": __version__,
                 "preset": "fig3",
                 "gammas": [0.5, 1.0, 2.0],
                 "lambda_grid": "zero plus geometric grid on [1e-3, 3]",
@@ -701,10 +677,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, ValueError, OSError) as exc:
+    except (UsageError, ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, np.linalg.LinAlgError) as exc:

@@ -15,7 +15,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -51,6 +51,7 @@ __all__ = [
     "empirical_kappa_m",
     "probe_trace_equivalents",
     "run_replications",
+    "summarize_point",
 ]
 
 # Negative risk values above this threshold are roundoff and clamped to zero;
@@ -675,6 +676,45 @@ def _clamp(value: float) -> tuple[float, bool, bool]:
     return value, False, True
 
 
+def summarize_point(
+    grid_value: float, outcomes: list[ReplicationResult | None]
+) -> tuple[GridAggregate, list[ReplicationResult]]:
+    """Summarize one grid point's draws, in replication order.
+
+    ``None`` stands for a draw that raised a numerical failure.  It is
+    excluded and counted, and so is a draw with a risk below CLAMP_FLOOR.
+    Roundoff-negative risks are clamped to zero and counted.  Returns the
+    aggregate and the retained draws with their clamped values.
+    """
+    kept = []
+    excluded = clamped = 0
+    for res in outcomes:
+        if res is None:
+            excluded += 1
+            continue
+        bias, cb, eb = _clamp(res.bias)
+        variance, cv, ev = _clamp(res.variance)
+        if eb or ev:
+            excluded += 1
+            continue
+        clamped += int(cb) + int(cv)
+        kept.append(replace(res, bias=bias, variance=variance))
+    used = len(kept)
+    b = np.asarray([res.bias for res in kept])
+    v = np.asarray([res.variance for res in kept])
+    aggregate = GridAggregate(
+        grid_value=float(grid_value),
+        reps_used=used,
+        excluded=excluded,
+        clamped=clamped,
+        bias_mean=float(b.mean()) if used else math.nan,
+        bias_std=float(b.std(ddof=1)) if used > 1 else math.nan,
+        var_mean=float(v.mean()) if used else math.nan,
+        var_std=float(v.std(ddof=1)) if used > 1 else math.nan,
+    )
+    return aggregate, kept
+
+
 def run_replications(
     config: SweepConfig, inst: ProblemInstance, record_kappa: bool = False
 ) -> SweepEmpirical:
@@ -686,8 +726,7 @@ def run_replications(
     from (master_seed, grid index, replication index), so the result stream
     is a pure function of the configuration no matter how many worker
     threads execute it (capped by the DDLAB_THREADS environment variable).
-    Replications whose projected design loses rank are excluded and counted;
-    roundoff-negative risks are clamped to zero and counted.
+    Each grid point's draws are summarized by ``summarize_point``.
     """
     grid_kind = config.grid_kind
     grid = config.m_grid if grid_kind == "m" else config.lambda_grid
@@ -715,59 +754,24 @@ def run_replications(
             rep_index=r, m=float(value), bias=bias, variance=variance, kappa_hat=kappa_hat
         )
 
+    def guarded(key: tuple[int, int]) -> ReplicationResult | None:
+        try:
+            return one(*key)
+        except (NumericalError, np.linalg.LinAlgError):
+            return None
+
     keys = [(gi, r) for gi in range(len(grid)) for r in range(config.replications)]
-    outcomes: dict[tuple[int, int], ReplicationResult | None] = {}
     workers = _worker_count()
     if workers == 1:
-        for key in keys:
-            try:
-                outcomes[key] = one(*key)
-            except (NumericalError, np.linalg.LinAlgError):
-                outcomes[key] = None
+        outcomes = list(map(guarded, keys))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {key: pool.submit(one, *key) for key in keys}
-        for key, fut in futures.items():
-            try:
-                outcomes[key] = fut.result()
-            except (NumericalError, np.linalg.LinAlgError):
-                outcomes[key] = None
+            outcomes = list(pool.map(guarded, keys))
 
     sweep = SweepEmpirical(grid_kind=grid_kind)
+    reps = config.replications
     for gi, value in enumerate(grid):
-        biases, variances = [], []
-        excluded = clamped = 0
-        for r in range(config.replications):
-            res = outcomes.get((gi, r))
-            if res is None:
-                excluded += 1
-                continue
-            bias, cb, eb = _clamp(res.bias)
-            variance, cv, ev = _clamp(res.variance)
-            if eb or ev:
-                excluded += 1
-                continue
-            clamped += int(cb) + int(cv)
-            res = ReplicationResult(
-                rep_index=res.rep_index, m=res.m, bias=bias, variance=variance,
-                kappa_hat=res.kappa_hat,
-            )
-            sweep.results[(gi, r)] = res
-            biases.append(bias)
-            variances.append(variance)
-        used = len(biases)
-        b = np.asarray(biases)
-        v = np.asarray(variances)
-        sweep.aggregates.append(
-            GridAggregate(
-                grid_value=float(value),
-                reps_used=used,
-                excluded=excluded,
-                clamped=clamped,
-                bias_mean=float(b.mean()) if used else math.nan,
-                bias_std=float(b.std(ddof=1)) if used > 1 else math.nan,
-                var_mean=float(v.mean()) if used else math.nan,
-                var_std=float(v.std(ddof=1)) if used > 1 else math.nan,
-            )
-        )
+        aggregate, kept = summarize_point(value, outcomes[gi * reps:(gi + 1) * reps])
+        sweep.aggregates.append(aggregate)
+        sweep.results.update(((gi, res.rep_index), res) for res in kept)
     return sweep

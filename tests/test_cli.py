@@ -344,6 +344,42 @@ class TestMain:
             ]) == 0, (n, d)
             assert len(out.read_text().strip().splitlines()) == 1 + 2 * 2 * 6
 
+    def test_outputs_create_missing_directories(self, tmp_path, monkeypatch):
+        # The replication stream goes to a directory other than --out's.
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "empirical", "--n", "10", "--d", "20", "--m-grid", "5,15", "--reps", "2",
+            "--out", "out/s.csv", "--per-rep-out", "sub/reps.csv",
+        ]) == 0
+        assert (tmp_path / "out" / "s.meta.json").is_file()
+        rep_lines = (tmp_path / "sub" / "reps.csv").read_text().splitlines()
+        assert rep_lines[0] == "grid_index,m_or_lambda,rep_index,bias,variance,kappa_hat"
+        assert len(rep_lines) == 1 + 2 * 2
+
+    def test_every_meta_carries_artifact_version(self, tmp_path, monkeypatch):
+        import functools
+
+        import ddlab
+        import ddlab.cli
+
+        toy_fig2 = functools.partial(
+            ddlab.cli.run_fig2, n_values=(10,), deltas=(0.4, 2.0), realizations=2
+        )
+        monkeypatch.setattr(ddlab.cli, "run_fig2", toy_fig2)
+        sweep = ["--n", "10", "--d", "15", "--m-grid", "5,20"]
+        for argv in (
+            ["theory", *sweep, "--out", str(tmp_path / "theory" / "t.csv")],
+            ["empirical", *sweep, "--reps", "2", "--out", str(tmp_path / "empirical" / "e.csv")],
+            ["probe-traces", "--n", "20", "--d", "30", "--out", str(tmp_path / "probes" / "p.csv")],
+            ["reproduce", "fig2", "--out", str(tmp_path / "fig2")],
+            ["reproduce", "fig3", "--out", str(tmp_path / "fig3")],
+        ):
+            assert main(argv) == 0, argv
+        metas = sorted(tmp_path.rglob("*.meta.json"))
+        assert [p.parent.name for p in metas] == ["empirical", "fig2", "fig3", "probes", "theory"]
+        for path in metas:
+            assert json.loads(path.read_text())["artifact_version"] == ddlab.__version__
+
     def test_unreadable_config_exit_one(self, tmp_path, capsys):
         missing = tmp_path / "none.json"
         assert main(["theory", "--config", str(missing), "--out", str(tmp_path / "o.csv")]) == 1
@@ -377,6 +413,37 @@ class TestFig2Driver:
             "mean_abs_gap_bias", "mean_abs_gap_variance",
             "gap_of_means_bias", "gap_of_means_variance",
         }
+
+    def test_draws_follow_the_sweep_replication_rule(self, monkeypatch):
+        import ddlab.cli
+        from ddlab.cli import run_fig2
+        from ddlab.empirical import RankDeficientDesignError
+
+        original = ddlab.cli.conditional_risk_projected
+        draws = []
+
+        # Draws run realization by realization: (r0, 0.4), (r0, 2.0), (r1, 0.4), ...
+        def patched(inst, x, s):
+            k = len(draws)
+            bias, variance = original(inst, x, s)
+            if k == 2:
+                draws.append(None)
+                raise RankDeficientDesignError("projected design lost rank")
+            bias = {0: -1e-6, 1: -1e-12}.get(k, bias)
+            draws.append((bias, variance))
+            return bias, variance
+
+        monkeypatch.setattr(ddlab.cli, "conditional_risk_projected", patched)
+        tables, summary = run_fig2(n_values=(10,), deltas=(0.4, 2.0), realizations=3)
+        small, large = tables[10]
+        # A genuinely negative bias and a rank-deficient draw are excluded ...
+        assert small.reps_used == 1
+        assert small.bias_emp_mean == draws[4][0]
+        assert math.isnan(small.bias_emp_std)
+        # ... and a roundoff-negative one is clamped to zero.
+        assert large.reps_used == 3
+        assert large.bias_emp_mean == pytest.approx(np.mean([0.0, draws[3][0], draws[5][0]]))
+        assert all(math.isfinite(v) for v in summary[10].values())
 
     def test_kappa_dof_target_subcommand(self, capsys):
         # Single atom at 1 with d = 2n: df1(kappa) = n/2 gives kappa = 3.
