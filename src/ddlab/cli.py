@@ -506,6 +506,8 @@ def _cmd_empirical(args) -> int:
     config = _config_from_args(args, mode=mode)
     if config.replications < 1:
         raise UsageError(f"--reps must be at least 1, got {config.replications}")
+    if args.record_kappa and config.grid_kind != "m":
+        raise UsageError("--record-kappa needs an m grid (--m-grid); it has no lambda-grid estimate")
     sweep = _emit_sweep(config, Path(args.out), record_kappa=args.record_kappa, assumptions={})
     if args.per_rep_out:
         write_replication_csv(args.per_rep_out, sweep)
@@ -634,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--per-rep-out", help="also write the raw replication stream CSV here")
     sub.add_argument(
         "--record-kappa", action="store_true",
-        help="record the per-draw projected-covariance kappa estimate",
+        help="record the per-draw projected-covariance kappa estimate (m grid only)",
     )
     sub.set_defaults(handler=_cmd_empirical)
 
@@ -677,12 +679,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except (UsageError, ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # LinAlgError subclasses ValueError, so the numeric clause comes first.
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
+    except (UsageError, ConfigError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -103,7 +103,12 @@ def sample_matrix(rows: int, cols: int, sampler: str, seed: int) -> np.ndarray:
     if sampler == "gaussian":
         return rng.standard_normal((rows, cols))
     if sampler == "rademacher":
-        return rng.integers(0, 2, size=(rows, cols)).astype(float) * 2.0 - 1.0
+        # numpy draws a range of two with 32-bit Lemire steps for either
+        # integer width, so int32 gives the int64 stream's bits; the signs
+        # are formed in one float buffer.
+        signs = np.multiply(rng.integers(0, 2, size=(rows, cols), dtype=np.int32), 2.0)
+        signs -= 1.0
+        return signs
     raise ValueError(f"unknown sampler {sampler!r}")
 
 
@@ -224,12 +229,6 @@ class ProblemInstance:
     def covariance(self) -> np.ndarray:
         b, e = self.sigma_basis, self.sigma_eigs
         return b @ (e[:, None] * b.T)
-
-    def apply_covariance(self, x: np.ndarray) -> np.ndarray:
-        b, e = self.sigma_basis, self.sigma_eigs
-        if x.ndim == 1:
-            return b @ (e * (b.T @ x))
-        return b @ (e[:, None] * (b.T @ x))
 
     def sqrt_covariance(self) -> np.ndarray:
         b, e = self.sigma_basis, self.sigma_eigs
@@ -356,27 +355,39 @@ def build_instance(config: SweepConfig) -> ProblemInstance:
 # Exact conditional risks
 # ---------------------------------------------------------------------------
 
-def _risk_of_map(inst: ProblemInstance, resid: np.ndarray, P: np.ndarray) -> tuple[float, float]:
-    """(resid' Sigma resid, sigma^2 <P, Sigma P>) of an estimator theta_hat = P y.
+def _risk_of_map(
+    inst: ProblemInstance, map_q: np.ndarray, resid_q: np.ndarray
+) -> tuple[float, float]:
+    """(resid' Sigma resid, sigma^2 <P, Sigma P>) of an estimator theta_hat = P y,
+    from Q'P and Q'resid in Sigma's eigenbasis (Sigma = Q diag(e) Q').
 
     With resid the noiseless error P X theta - theta these are the
-    noise-exact bias and variance.
+    noise-exact bias and variance: ||e^(1/2) Q'resid||^2 and
+    sigma^2 ||e^(1/2) Q'P||_F^2.
     """
-    bias = float(resid @ inst.apply_covariance(resid))
-    variance = inst.sigma_noise**2 * float(np.sum(P * inst.apply_covariance(P)))
-    return bias, variance
+    root = np.sqrt(inst.sigma_eigs)
+    resid = root * resid_q
+    scaled = root[:, None] * map_q
+    return float(resid @ resid), inst.sigma_noise**2 * float(np.vdot(scaled, scaled))
 
 
 def conditional_risk_projected(
     inst: ProblemInstance, X: np.ndarray, S: np.ndarray, tol: float = DEFAULT_RANK_TOL
 ) -> tuple[float, float]:
-    """Noise-exact (bias, variance) of min-norm least squares on X @ S.
+    """Noise-exact (bias, variance) of min-norm least squares on A = X @ S.
 
-    With P = S pinv(XS), the fitted coefficients are P y, so conditionally
+    With P = S pinv(A), the fitted coefficients are P y, so conditionally
     on (X, S) the variance is sigma^2 tr[P' Sigma P] and the bias is the
     excess risk of the noiseless fit P X theta.  Raises
-    RankDeficientDesignError when XS falls below its generic rank
+    RankDeficientDesignError when A falls below its generic rank
     min(n, m, d) at the given tolerance.
+
+    The map is scored in Sigma's eigenbasis (Sigma = Q diag(e) Q'): with
+    M = e^(1/2) Q'S pinv(A), the variance is sigma^2 ||M||_F^2 and the bias
+    ||M X theta - e^(1/2) Q'theta||^2, the residual formed as a vector
+    before it is squared.  Q'S pinv(A) is grouped as (Q'S) pinv(A) when
+    m < n and as Q'(S pinv(A)) otherwise, so one d x d x min(m, n) product
+    rotates it and no covariance action is needed.
     """
     n, m = X.shape[0], S.shape[1]
     A = X @ S
@@ -386,8 +397,9 @@ def conditional_risk_projected(
         raise RankDeficientDesignError(
             f"projected design has numerical rank {rank} < {expected} (n={n}, m={m}, d={inst.d})"
         )
-    P = S @ pinv_a
-    return _risk_of_map(inst, P @ (X @ inst.theta_star) - inst.theta_star, P)
+    basis_t = inst.sigma_basis.T
+    map_q = (basis_t @ S) @ pinv_a if m < n else basis_t @ (S @ pinv_a)
+    return _risk_of_map(inst, map_q, map_q @ (X @ inst.theta_star) - inst._coords)
 
 
 def conditional_risk_ridge(
@@ -412,11 +424,12 @@ def conditional_risk_ridge(
     if not lam >= 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     n = X.shape[0]
+    basis_t = inst.sigma_basis.T
     if inst.d > n:
-        P = solve_shifted(X @ X.T, n * lam, X).T
-        return _risk_of_map(inst, P @ (X @ inst.theta_star) - inst.theta_star, P)
-    sol = solve_shifted(X.T @ X, n * lam, np.column_stack([X.T, inst.theta_star]))
-    g_sigma_g, variance = _risk_of_map(inst, sol[:, n], sol[:, :n])
+        map_q = basis_t @ solve_shifted(X @ X.T, n * lam, X).T
+        return _risk_of_map(inst, map_q, map_q @ (X @ inst.theta_star) - inst._coords)
+    sol = basis_t @ solve_shifted(X.T @ X, n * lam, np.column_stack([X.T, inst.theta_star]))
+    g_sigma_g, variance = _risk_of_map(inst, sol[:, :n], sol[:, n])
     return (n * lam) ** 2 * g_sigma_g, variance
 
 
@@ -435,10 +448,13 @@ def empirical_kappa_lambda(X: np.ndarray, n: int, lam: float) -> float:
 def empirical_kappa_m(sigma, S: np.ndarray) -> float:
     """One-draw dof-matched regularization estimate 1 / tr[(S' Sigma S)^-1].
 
-    Callers average the reciprocal over projection draws.
+    ``sigma`` is a d x d symmetric matrix, or a d-vector e standing for
+    diag(e); in Sigma's eigenbasis (Sigma = Q diag(e) Q') pass e and Q'S,
+    which needs no dense Sigma.  Callers average the reciprocal over
+    projection draws.
     """
-    sigma = as_sym_matrix(sigma, name="sigma")
-    gram_eigs = np.linalg.eigvalsh(S.T @ (sigma @ S))
+    sigma = _eigenbasis_operand(sigma, S.shape[0], "sigma")
+    gram_eigs = np.linalg.eigvalsh(_times(S.T, sigma) @ S)
     if (gram_eigs <= 1e-14 * max(gram_eigs.max(initial=0.0), 1e-300)).any():
         raise NumericalError(
             f"projected covariance of size {S.shape[1]} is numerically singular"
@@ -731,7 +747,6 @@ def run_replications(
     grid_kind = config.grid_kind
     grid = config.m_grid if grid_kind == "m" else config.lambda_grid
     sqrt_cov = inst.sqrt_covariance()
-    sigma_dense = inst.covariance() if record_kappa else None
 
     def one(gi: int, r: int):
         value = grid[gi]
@@ -747,7 +762,7 @@ def run_replications(
             )
             bias, variance = conditional_risk_projected(inst, x, s)
             if record_kappa and int(value) <= inst.d:
-                kappa_hat = empirical_kappa_m(sigma_dense, s)
+                kappa_hat = empirical_kappa_m(inst.sigma_eigs, inst.sigma_basis.T @ s)
         else:
             bias, variance = conditional_risk_ridge(inst, x, float(value))
         return ReplicationResult(

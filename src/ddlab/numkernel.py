@@ -80,23 +80,85 @@ def solve_shifted(a, shift: float, rhs) -> np.ndarray:
 
 
 def pseudo_inverse(design, tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, int]:
-    """Moore-Penrose pseudo-inverse via the smaller Gram eigendecomposition.
+    """Moore-Penrose pseudo-inverse through the smaller Gram matrix G.
 
     Returns (pinv, numerical_rank); pinv has shape (p, n) for an n x p input.
     The cutoff drops singular values below tol times the largest one; Gram
     eigenvalues at the machine-noise level eps * max(n, p) relative to the
     top are always dropped, which is the resolution limit of this route.
     An all-zero design has rank 0 and a zero pseudo-inverse.
+
+    A Cholesky factor G = LL' gives the inverse directly when it certifies
+    full rank: lambda_min(G) >= 1/||L^-1||_F^2 and lambda_max(G) <= tr G, so
+    a ratio of these bounds above _CERTIFY_MARGIN times the cutoff places
+    every eigenvalue well inside the kept range.  Otherwise (a failed
+    factorization, or no certificate) the Gram eigendecomposition decides
+    the rank, so both routes report the same numerical rank.
     """
     design = np.asarray(design, dtype=float)
     n, p = design.shape
     cols = p <= n
-    w, v = np.linalg.eigh(design.T @ design if cols else design @ design.T)
+    gram = design.T @ design if cols else design @ design.T
+    cutoff = max(tol**2, np.finfo(float).eps * max(n, p))
+    inverse = _certified_inverse(gram, cutoff)
+    if inverse is None:
+        return _eigh_pseudo_inverse(design, gram, cols, cutoff)
+    if cols:
+        return inverse @ design.T, gram.shape[0]
+    return design.T @ inverse, gram.shape[0]
+
+
+# Factor between the Cholesky certificate and the rank cutoff.  It absorbs
+# the rounding of the factor and of its inverse, so that a certified Gram
+# matrix is one whose eigendecomposition keeps every eigenvalue.
+_CERTIFY_MARGIN = 1e3
+
+
+def _certified_inverse(gram: np.ndarray, cutoff: float) -> np.ndarray | None:
+    """G^-1 when a Cholesky factor of G certifies that all eigenvalues exceed
+    cutoff times the largest, else None."""
+    try:
+        factor_inv = _lower_inverse(np.linalg.cholesky(gram))
+    except np.linalg.LinAlgError:
+        return None
+    # Negated, so that a NaN from a non-finite design falls back.
+    bound = float(np.vdot(factor_inv, factor_inv)) * float(np.trace(gram))
+    if not bound * cutoff * _CERTIFY_MARGIN < 1.0:
+        return None
+    return factor_inv.T @ factor_inv
+
+
+# Side at or below which _lower_inverse inverts a block with LAPACK.
+_INVERSE_BLOCK = 64
+
+
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by halving it into 2 x 2 blocks,
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]], so that most
+    of the work is matrix products rather than a general LU inverse."""
+    k = low.shape[0]
+    if k <= _INVERSE_BLOCK:
+        return np.linalg.inv(low)
+    h = k // 2
+    out = np.zeros_like(low)
+    out[:h, :h] = top = _lower_inverse(low[:h, :h])
+    out[h:, h:] = bottom = _lower_inverse(low[h:, h:])
+    out[h:, :h] = -(bottom @ low[h:, :h]) @ top
+    return out
+
+
+def _eigh_pseudo_inverse(
+    design: np.ndarray, gram: np.ndarray, cols: bool, cutoff: float
+) -> tuple[np.ndarray, int]:
+    """The pseudo-inverse from the eigendecomposition of the Gram matrix,
+    keeping eigenvalues above cutoff times the largest."""
+    n, p = design.shape
+    w, v = np.linalg.eigh(gram)
     w = np.maximum(w, 0.0)
     top = float(w.max(initial=0.0))
     if top == 0.0:
         return np.zeros((p, n)), 0
-    keep = w > top * max(tol**2, np.finfo(float).eps * max(n, p))
+    keep = w > top * cutoff
     w, v = w[keep], v[:, keep]
     if cols:
         return (v / w) @ (v.T @ design.T), int(keep.sum())

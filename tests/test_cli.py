@@ -380,6 +380,25 @@ class TestMain:
         for path in metas:
             assert json.loads(path.read_text())["artifact_version"] == ddlab.__version__
 
+    def test_record_kappa_on_lambda_grid_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "ridge.csv"
+        assert main([
+            "empirical", "--n", "20", "--d", "40", "--lambda-grid", "0.1,1", "--reps", "2",
+            "--record-kappa", "--per-rep-out", str(tmp_path / "reps.csv"), "--out", str(out),
+        ]) == 1
+        assert "--record-kappa" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_linalg_error_exit_two(self, tmp_path, capsys, monkeypatch):
+        import ddlab.cli
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(ddlab.cli, "run_fig3", singular)
+        assert main(["reproduce", "fig3", "--out", str(tmp_path / "f3")]) == 2
+        assert capsys.readouterr().err.startswith("numeric failure: Singular matrix")
+
     def test_unreadable_config_exit_one(self, tmp_path, capsys):
         missing = tmp_path / "none.json"
         assert main(["theory", "--config", str(missing), "--out", str(tmp_path / "o.csv")]) == 1

@@ -5,6 +5,7 @@ import scipy.stats
 
 from ddlab.config import SweepConfig
 from ddlab.empirical import (
+    ProblemInstance,
     RankDeficientDesignError,
     SeededRotation,
     build_design,
@@ -43,7 +44,7 @@ def epsilon_sampling_oracle(inst, coef_map, offset, n_draws=100_000, seed=0):
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal((n_draws, inst.n)) * inst.sigma_noise
     dev = (offset - inst.theta_star)[None, :] + eps @ coef_map.T
-    risks = np.einsum("ij,ij->i", dev, inst.apply_covariance(dev.T).T)
+    risks = np.einsum("ij,ij->i", dev, dev @ inst.covariance())
     return float(risks.mean()), float(risks.std() / np.sqrt(n_draws))
 
 
@@ -69,6 +70,14 @@ class TestSampleMatrix:
     def test_unknown_sampler(self):
         with pytest.raises(ValueError):
             sample_matrix(2, 2, "uniform", 0)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (1, 1), (3, 7), (400, 400), (401, 33)])
+    def test_rademacher_matches_int64_draw(self, shape):
+        # The sampler draws int32; numpy's bounded draw for a range of two
+        # gives the int64 stream's bits, and the stream depends on it.
+        for seed in (0, 1, 2**63 + 5, child_seed(7, 3, 1)):
+            ref = np.random.default_rng(seed).integers(0, 2, shape).astype(float) * 2.0 - 1.0
+            assert np.array_equal(sample_matrix(*shape, "rademacher", seed), ref)
 
 
 class TestChildSeed:
@@ -98,6 +107,21 @@ def svd_ridge_reference(inst, x, lam):
     resid = -vt.T @ (f * (vt @ inst.theta_star))
     P = vt[:k].T @ ((s / (s**2 + n * lam))[:, None] * u[:, :k].T)
     sigma = inst.covariance()
+    bias = float(resid @ sigma @ resid)
+    variance = inst.sigma_noise**2 * float(np.sum(P * (sigma @ P)))
+    return bias, variance
+
+
+def svd_projected_reference(inst, x, s):
+    """Projected (bias, variance) with P = S pinv(XS), the pseudo-inverse from
+    a thin SVD truncated at the generic rank min(n, m, d), scored against
+    the dense covariance."""
+    n, m = x.shape[0], s.shape[1]
+    u, sv, vt = np.linalg.svd(x @ s, full_matrices=False)
+    r = min(n, m, inst.d)
+    P = s @ (vt[:r].T @ (u[:, :r] / sv[:r]).T)
+    sigma = inst.covariance()
+    resid = P @ (x @ inst.theta_star) - inst.theta_star
     bias = float(resid @ sigma @ resid)
     variance = inst.sigma_noise**2 * float(np.sum(P * (sigma @ P)))
     return bias, variance
@@ -391,8 +415,11 @@ class TestConditionalProjected:
         assert variance == pytest.approx(oracle, rel=1e-8)
 
     def test_zero_signal_zero_bias(self):
-        inst = small_instance(n=12, d=6, seed=13)
-        object.__setattr__(inst, "theta_star", np.zeros(6))
+        base = small_instance(n=12, d=6, seed=13)
+        inst = ProblemInstance(
+            n=12, d=6, sigma_noise=base.sigma_noise, sigma_basis=base.sigma_basis,
+            sigma_eigs=base.sigma_eigs, theta_star=np.zeros(6),
+        )
         z = sample_matrix(12, 6, "gaussian", 14)
         x = build_design(inst, z)
         s = sample_matrix(6, 3, "rademacher", 15)
@@ -410,6 +437,43 @@ class TestConditionalProjected:
         offset = coef_map @ (x @ inst.theta_star)
         mc, se = epsilon_sampling_oracle(inst, coef_map, offset, seed=4)
         assert bias + variance == pytest.approx(mc, abs=3 * se)
+
+    # (n, d, m) with |m - n| >= n/2: m < n, n <= m <= d and m > d, for
+    # d > n and for d <= n, where m >= d gives a zero bias.
+    @pytest.mark.parametrize("n, d, m", [
+        (20, 60, 4), (20, 60, 10), (20, 60, 30), (20, 60, 60), (20, 60, 90),
+        (40, 20, 5), (40, 20, 20), (40, 20, 60), (40, 20, 100),
+        (200, 400, 50), (200, 400, 300), (200, 400, 800),
+    ])
+    def test_matches_svd_reference(self, n, d, m):
+        inst = small_instance(n=n, d=d, seed=n + d + m)
+        x = build_design(inst, sample_matrix(n, d, "rademacher", n * d))
+        s = sample_matrix(d, m, "rademacher", d * m)
+        bias, variance = conditional_risk_projected(inst, x, s)
+        ref_bias, ref_variance = svd_projected_reference(inst, x, s)
+        floor = 1e-20 * inst.signal_strength() if m >= d >= 1 and d <= n else 0.0
+        assert bias == pytest.approx(ref_bias, rel=1e-10, abs=floor)
+        assert variance == pytest.approx(ref_variance, rel=1e-10, abs=0.0)
+
+    def test_draw_calls_no_scipy_lapack(self, monkeypatch):
+        # numpy and scipy each link their own OpenBLAS, and the two thread
+        # pools slow each other down; the projected draw stays on numpy's.
+        import ddlab.empirical as emp
+        import ddlab.numkernel as nk
+
+        class NoScipy:
+            def __getattr__(self, name):
+                raise AssertionError(f"scipy.{name} reached from the projected draw")
+
+        def no_dormqr(*args, **kwargs):
+            raise AssertionError("dormqr reached from the projected draw")
+
+        inst = small_instance(n=20, d=30, seed=5)
+        x = build_design(inst, sample_matrix(20, 30, "rademacher", 6))
+        monkeypatch.setattr(nk, "scipy", NoScipy())
+        monkeypatch.setattr(emp, "dormqr", no_dormqr)
+        for m in (5, 20, 40):
+            conditional_risk_projected(inst, x, sample_matrix(30, m, "rademacher", m))
 
     def test_rank_deficient_projection_flagged(self):
         inst = small_instance(n=10, d=5, seed=21)
@@ -466,7 +530,7 @@ class TestConditionalRidge:
         coef_map = np.linalg.pinv(x)
         offset = coef_map @ (x @ inst.theta_star)
         dev = offset - inst.theta_star
-        assert bias == pytest.approx(float(dev @ inst.apply_covariance(dev)), rel=1e-8)
+        assert bias == pytest.approx(float(dev @ inst.covariance() @ dev), rel=1e-8)
         oracle_var = inst.sigma_noise**2 * np.trace(
             coef_map.T @ inst.covariance() @ coef_map
         )
@@ -790,6 +854,17 @@ class TestRunReplications:
         agg = sweep.aggregates[0]
         assert agg.reps_used + agg.excluded == 50
         assert agg.var_mean == pytest.approx(1.0, rel=0.35)
+
+    def test_record_kappa_matches_dense_covariance(self):
+        cfg = self.config(reps=3, m_grid=(3, 7, 12))
+        inst = build_instance(cfg)
+        sweep = run_replications(cfg, inst, record_kappa=True)
+        sigma = inst.covariance()
+        for (gi, r), res in sweep.results.items():
+            s = sample_matrix(
+                inst.d, int(res.m), cfg.sampler, child_seed(cfg.master_seed, gi, r, 1)
+            )
+            assert res.kappa_hat == pytest.approx(empirical_kappa_m(sigma, s), rel=1e-10, abs=0.0)
 
     def test_clamp_rules(self):
         assert _clamp(1.0) == (1.0, False, False)

@@ -54,7 +54,7 @@ def random_tiny_instance(seed, max_dim=8):
 def epsilon_oracle(inst, coef_map, offset, rng, n_draws=100_000):
     eps = rng.standard_normal((n_draws, inst.n)) * inst.sigma_noise
     dev = (offset - inst.theta_star)[None, :] + eps @ coef_map.T
-    risks = np.einsum("ij,ij->i", dev, inst.apply_covariance(dev.T).T)
+    risks = np.einsum("ij,ij->i", dev, dev @ inst.covariance())
     return float(risks.mean()), float(risks.std() / np.sqrt(n_draws))
 
 
