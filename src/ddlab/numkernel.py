@@ -10,7 +10,6 @@ safe to call from multiple threads.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 # Rank cutoff for pseudo-inverses, relative to the largest singular value.
 # Exposed as a parameter of pseudo_inverse because projected designs
@@ -45,12 +44,36 @@ def as_sym_matrix(a, *, name: str = "matrix") -> np.ndarray:
     return a
 
 
+# Side at or below which _lower_inverse inverts a block with LAPACK.
+_INVERSE_BLOCK = 64
+
+
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by halving it into 2 x 2 blocks,
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]], so that most
+    of the work is matrix products rather than a general LU inverse."""
+    k = low.shape[0]
+    if k <= _INVERSE_BLOCK:
+        return np.linalg.inv(low)
+    h = k // 2
+    out = np.zeros_like(low)
+    out[:h, :h] = top = _lower_inverse(low[:h, :h])
+    out[h:, h:] = bottom = _lower_inverse(low[h:, h:])
+    out[h:, :h] = -(bottom @ low[h:, :h]) @ top
+    return out
+
+
 def solve_shifted(a, shift: float, rhs) -> np.ndarray:
     """Solve (a + shift*I) x = rhs for SPD a + shift*I.
 
     Accepts a vector or matrix right-hand side and returns the same shape.
     One step of iterative refinement keeps the residual at roundoff level
     even for badly conditioned systems.
+
+    The solve applies the inverse of numpy's Cholesky factor L twice,
+    x = L^-T (L^-1 rhs), and calls no scipy routine: numpy and scipy link
+    separate OpenBLAS builds, and handing work between their thread pools
+    costs milliseconds per call, more or less from one call to the next.
     """
     a = as_sym_matrix(a)
     if shift < 0:
@@ -60,22 +83,22 @@ def solve_shifted(a, shift: float, rhs) -> np.ndarray:
         raise ValueError(f"rhs has leading dimension {rhs.shape[0]}, expected {a.shape[0]}")
     shifted = a if shift == 0 else a + shift * np.eye(a.shape[0])
     try:
-        chol = scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
+        factor_inv = _lower_inverse(np.linalg.cholesky(shifted))
+    except np.linalg.LinAlgError:
         min_eig = float(np.linalg.eigvalsh(shifted).min())
         raise IndefiniteMatrixError(
             f"matrix plus shift {shift} is not positive definite "
             f"(smallest eigenvalue estimate {min_eig:.3e})",
             min_eigenvalue=min_eig,
         ) from None
-    x = scipy.linalg.cho_solve(chol, rhs, check_finite=False)
+    x = factor_inv.T @ (factor_inv @ rhs)
     # Iterative refinement: usually one pass, capped at three.
     rhs_norm = float(np.linalg.norm(rhs))
     for _ in range(3):
         resid = rhs - shifted @ x
         if float(np.linalg.norm(resid)) <= 1e-13 * max(rhs_norm, 1e-300):
             break
-        x = x + scipy.linalg.cho_solve(chol, resid, check_finite=False)
+        x = x + factor_inv.T @ (factor_inv @ resid)
     return x
 
 
@@ -126,25 +149,6 @@ def _certified_inverse(gram: np.ndarray, cutoff: float) -> np.ndarray | None:
     if not bound * cutoff * _CERTIFY_MARGIN < 1.0:
         return None
     return factor_inv.T @ factor_inv
-
-
-# Side at or below which _lower_inverse inverts a block with LAPACK.
-_INVERSE_BLOCK = 64
-
-
-def _lower_inverse(low: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix by halving it into 2 x 2 blocks,
-    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]], so that most
-    of the work is matrix products rather than a general LU inverse."""
-    k = low.shape[0]
-    if k <= _INVERSE_BLOCK:
-        return np.linalg.inv(low)
-    h = k // 2
-    out = np.zeros_like(low)
-    out[:h, :h] = top = _lower_inverse(low[:h, :h])
-    out[h:, h:] = bottom = _lower_inverse(low[h:, h:])
-    out[h:, :h] = -(bottom @ low[h:, :h]) @ top
-    return out
 
 
 def _eigh_pseudo_inverse(

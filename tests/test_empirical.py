@@ -457,23 +457,27 @@ class TestConditionalProjected:
 
     def test_draw_calls_no_scipy_lapack(self, monkeypatch):
         # numpy and scipy each link their own OpenBLAS, and the two thread
-        # pools slow each other down; the projected draw stays on numpy's.
+        # pools slow each other down; the projected and ridge draws stay on
+        # numpy's.
+        import scipy.linalg
+
         import ddlab.empirical as emp
         import ddlab.numkernel as nk
 
-        class NoScipy:
-            def __getattr__(self, name):
-                raise AssertionError(f"scipy.{name} reached from the projected draw")
+        def no_scipy(*args, **kwargs):
+            raise AssertionError("scipy LAPACK reached from a draw")
 
-        def no_dormqr(*args, **kwargs):
-            raise AssertionError("dormqr reached from the projected draw")
-
-        inst = small_instance(n=20, d=30, seed=5)
-        x = build_design(inst, sample_matrix(20, 30, "rademacher", 6))
-        monkeypatch.setattr(nk, "scipy", NoScipy())
-        monkeypatch.setattr(emp, "dormqr", no_dormqr)
-        for m in (5, 20, 40):
-            conditional_risk_projected(inst, x, sample_matrix(30, m, "rademacher", m))
+        assert not hasattr(nk, "scipy")
+        for name in ("cho_factor", "cho_solve", "cholesky", "solve", "solve_triangular", "inv"):
+            monkeypatch.setattr(scipy.linalg, name, no_scipy)
+        monkeypatch.setattr(emp, "dormqr", no_scipy)
+        for n, d in ((20, 30), (30, 20)):
+            inst = small_instance(n=n, d=d, seed=5)
+            x = build_design(inst, sample_matrix(n, d, "rademacher", 6))
+            for m in (5, 20, 40):
+                conditional_risk_projected(inst, x, sample_matrix(d, m, "rademacher", m))
+            for lam in (0.0, 0.1):
+                conditional_risk_ridge(inst, x, lam)
 
     def test_rank_deficient_projection_flagged(self):
         inst = small_instance(n=10, d=5, seed=21)

@@ -44,6 +44,31 @@ class TestSolveShifted:
         x1 = solve_shifted(a - lam * np.eye(7), lam, rhs)
         assert np.linalg.norm(x0 - x1) <= 1e-9 * np.linalg.norm(x0)
 
+    @pytest.mark.parametrize("dim, shift, cols", [
+        (6, 0.7, 3), (40, 0.0, 1), (130, 1e-3, 130), (200, 0.0, 400), (200, 200.0, 0),
+    ])
+    def test_matches_scipy_cholesky(self, dim, shift, cols):
+        # The route before the numpy factor: scipy's cho_factor/cho_solve
+        # with the same refinement, kept as the reference the new one must
+        # match.
+        import scipy.linalg
+
+        rng = np.random.default_rng(dim + cols)
+        z = rng.standard_normal((dim, 2 * dim))
+        a = z @ z.T / (2 * dim)
+        rhs = rng.standard_normal((dim, cols)) if cols else rng.standard_normal(dim)
+        shifted = a + shift * np.eye(dim)
+        chol = scipy.linalg.cho_factor(shifted, lower=True)
+        ref = scipy.linalg.cho_solve(chol, rhs)
+        for _ in range(3):
+            resid = rhs - shifted @ ref
+            if np.linalg.norm(resid) <= 1e-13 * np.linalg.norm(rhs):
+                break
+            ref = ref + scipy.linalg.cho_solve(chol, resid)
+        x = solve_shifted(a, shift, rhs)
+        assert x.shape == rhs.shape
+        np.testing.assert_allclose(x, ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max())
+
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError, match="square"):
             solve_shifted(np.ones((2, 3)), 1.0, np.ones(2))
