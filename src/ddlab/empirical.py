@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from scipy.linalg.lapack import dormqr
 
 from .config import SweepConfig
 from .numkernel import (
@@ -118,12 +117,13 @@ class SeededRotation:
 
     Q is the Q factor of a seeded Gaussian draw G = QR, column signs fixed by
     the diagonal of R.  The factorization is LAPACK's raw one (dgeqrf), and
-    Q or Q' reaches a vector through the reflectors in O(d^2) (dormqr).
+    Q or Q' reaches a vector through the reflectors in O(d^2), in numpy.
     """
 
     def __init__(self, d: int, seed: int):
         # A Fortran-ordered G gives the same factors as a C-ordered one, and
-        # gives them in Fortran order, which dormqr reads without a copy.
+        # gives them in Fortran order: reflector k is a contiguous row of
+        # reflectors.T.
         g = np.asfortranarray(np.random.default_rng(seed).standard_normal((d, d)))
         h, self.tau = np.linalg.qr(g, mode="raw")
         # LAPACK layout: R on and above the diagonal, the reflectors below it.
@@ -131,25 +131,38 @@ class SeededRotation:
         self.signs = np.sign(np.diag(self.reflectors))
 
     def apply(self, v: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """Q v, or Q' v when transpose is set."""
-        v = np.asarray(v, dtype=float)
+        """Q v, or Q' v when transpose is set.
+
+        Q = H_1 ... H_d with H_k = I - tau_k u_k u_k', where u_k is 0 above
+        row k, 1 at row k and reflector k below it.  Q' v applies H_1 first
+        and Q v applies H_d first, one dot product and one axpy each, in the
+        order of LAPACK's unblocked dorm2r.
+        """
+        out = np.array(v, dtype=float)
+        d = self.tau.shape[0]
+        if out.shape != (d,):
+            raise ValueError(f"vector has shape {out.shape}, expected ({d},)")
         if not transpose:
-            v = self.signs * v
-        # The minimal workspace (one column) selects the unblocked dorm2r,
-        # which reads each reflector once: the cheapest form for one vector.
-        out, _, info = dormqr(
-            "L", "T" if transpose else "N", self.reflectors, self.tau, v[:, None], lwork=1
-        )
-        if info != 0:
-            raise NumericalError(f"dormqr failed with info {info}")
-        return self.signs * out[:, 0] if transpose else out[:, 0]
+            out *= self.signs
+        rows = self.reflectors.T
+        taus = self.tau.tolist()
+        for k in range(d) if transpose else range(d - 1, -1, -1):
+            tau = taus[k]
+            if tau == 0.0:  # H_k = I
+                continue
+            tail, rest = rows[k, k + 1 :], out[k + 1 :]
+            w = tau * (out[k] + tail @ rest)
+            out[k] -= w
+            rest -= w * tail
+        if transpose:
+            out *= self.signs
+        return out
 
     def matrix(self) -> np.ndarray:
         """Q as a d x d array, bit-identical to np.linalg.qr(G)[0] * signs.
 
         np.linalg.qr forms Q with this gufunc (LAPACK dorgqr, its workspace
-        queried, so blocked) from the same raw factors; scipy's dorgqr links
-        another OpenBLAS and differs from it in the last bits under threads.
+        queried, so blocked) from the same raw factors.
         """
         q = _umath_linalg.qr_reduced(self.reflectors, self.tau, signature="dd->d")
         q *= self.signs

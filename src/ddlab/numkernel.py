@@ -71,9 +71,7 @@ def solve_shifted(a, shift: float, rhs) -> np.ndarray:
     even for badly conditioned systems.
 
     The solve applies the inverse of numpy's Cholesky factor L twice,
-    x = L^-T (L^-1 rhs), and calls no scipy routine: numpy and scipy link
-    separate OpenBLAS builds, and handing work between their thread pools
-    costs milliseconds per call, more or less from one call to the next.
+    x = L^-T (L^-1 rhs), on numpy's OpenBLAS, the only BLAS ddlab loads.
     """
     a = as_sym_matrix(a)
     if shift < 0:

@@ -147,8 +147,8 @@ def rp_risk(s: Spectrum, v: SignalMeasure, n: int, m, sigma: float):
     dof-matched parameter kappa_m (df1(kappa_m) = m) with the 1/(1 - m/n)
     inflation; above m = n both terms are the ridgeless equivalents plus
     excess-projection terms proportional to n / (m - n).  With m >= d and
-    d < n the projection spans the whole space almost surely and the
-    estimator collapses to ordinary least squares.
+    d < n, m = n included, the projection spans the whole space almost
+    surely and the estimator collapses to ordinary least squares.
 
     m may be a 1-D grid: every kappa_m is solved in one call, kappa_n once
     for all m > n, and one RiskBreakdown per point is returned, in order.
@@ -164,13 +164,13 @@ def rp_risk(s: Spectrum, v: SignalMeasure, n: int, m, sigma: float):
     above: list[int] = []
     ols = None
     for i, mi in enumerate(ms.tolist()):
-        if mi == n:
-            rows.append((math.inf, math.inf, 0.0, REGIME_CRITICAL, True))
-        elif d < n and (mi >= d or mi > n):
+        if d < n and mi >= d:
             if ols is None:
                 mn = minnorm_risk(s, v, n, sigma)
                 ols = (mn.bias, mn.variance, mn.kappa, mn.regime, mn.diverged)
             rows.append(ols)
+        elif mi == n:
+            rows.append((math.inf, math.inf, 0.0, REGIME_CRITICAL, True))
         elif (mi > n and d == n) or abs(mi - n) / n <= DIVERGENCE_FLOOR:
             rows.append((math.inf, math.inf, 0.0, REGIME_UNDER if mi < n else REGIME_OVER, True))
         else:

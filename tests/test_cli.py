@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -510,3 +511,55 @@ class TestPresetNormalizations:
         inst = build_instance(preset_config("fig4"))
         ratio = inst.sigma_eigs[0] / inst.sigma_eigs[9]
         assert ratio == pytest.approx(10.0, rel=1e-9)
+
+
+# Runs in a fresh interpreter, so modules another test imported do not count.
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from pathlib import Path
+import numpy as np
+from ddlab.cli import main
+from ddlab.spectrum import SignalMeasure, Spectrum, spectrum_to_json
+
+out = Path(sys.argv[1])
+spec = Spectrum(eigenvalues=np.array([0.5, 2.0]), weights=np.array([8.0, 4.0]), d=12)
+(out / "measures.json").write_text(spectrum_to_json(spec, SignalMeasure(masses=np.array([0.8, 1.2]))))
+(out / "aligned.json").write_text(json.dumps({
+    "n": 10, "d": 12, "spectrum": {"kind": "file", "path": str(out / "measures.json")},
+    "signal": {"kind": "aligned_file"},
+}))
+sweep = ["--n", "10", "--d", "12", "--spectrum", "inverse_index"]
+for argv in (
+    ["theory", *sweep, "--m-grid", "4,10,20", "--out", str(out / "t_m.csv")],
+    ["theory", *sweep, "--lambda-grid", "0,0.1", "--out", str(out / "t_l.csv")],
+    ["empirical", *sweep, "--m-grid", "4,20", "--reps", "2", "--with-theory",
+     "--record-kappa", "--out", str(out / "e_m.csv")],
+    ["empirical", *sweep, "--lambda-grid", "0,0.1", "--reps", "2", "--out", str(out / "e_l.csv")],
+    ["empirical", "--config", str(out / "aligned.json"), "--m-grid", "4,20", "--reps", "2",
+     "--with-theory", "--out", str(out / "e_a.csv")],
+    ["probe-traces", *sweep, "--lambdas", "0.1", "--seeds", "1", "--out", str(out / "p.csv")],
+    ["kappa", "--spectrum", "isotropic:1", "--gamma", "2", "--lambda", "0"],
+    ["reproduce", "fig3", "--out", str(out / "fig3")],
+):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_commands_load_no_scipy(tmp_path):
+    # numpy's OpenBLAS is the only BLAS a ddlab process loads; scipy would
+    # bring a second one with its own thread pool.
+    import os
+    import subprocess
+    import sys
+
+    import ddlab
+
+    src = str(Path(ddlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -251,6 +251,33 @@ class TestSeededRotation:
         assert np.allclose(rotation.apply(v), q @ v, rtol=0, atol=1e-12)
         assert np.allclose(rotation.apply(v, transpose=True), q.T @ v, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 7, 64, 300, 2000])
+    def test_apply_matches_lapack_dormqr(self, d):
+        # The kernel before the numpy loop: LAPACK's dormqr on the same
+        # reflectors.  Entries near zero carry the vector's absolute
+        # roundoff, so the tolerance is scaled by its largest entry.
+        from scipy.linalg.lapack import dormqr
+
+        rotation = SeededRotation(d, 9)
+        assert rotation.tau[-1] == 0.0  # the last reflector of a square QR; d = 1 has only it
+        v = np.random.default_rng(d).standard_normal(d)
+        for transpose in (False, True):
+            rhs = v if transpose else rotation.signs * v
+            out, _, info = dormqr(
+                "L", "T" if transpose else "N", rotation.reflectors, rotation.tau,
+                rhs[:, None], lwork=1,
+            )
+            assert info == 0
+            ref = rotation.signs * out[:, 0] if transpose else out[:, 0]
+            np.testing.assert_allclose(
+                rotation.apply(v, transpose=transpose), ref,
+                rtol=1e-12, atol=1e-12 * np.abs(ref).max(),
+            )
+
+    def test_apply_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="shape"):
+            SeededRotation(4, 1).apply(np.ones(5))
+
     @pytest.mark.parametrize("d", [1, 2, 7, 64, 300])
     def test_seeded_instance_matches_old_kernel(self, d):
         eigs = np.sort(np.random.default_rng(d).uniform(0.1, 2.0, d))[::-1].copy()
@@ -468,9 +495,9 @@ class TestConditionalProjected:
             raise AssertionError("scipy LAPACK reached from a draw")
 
         assert not hasattr(nk, "scipy")
+        assert not hasattr(emp, "dormqr")
         for name in ("cho_factor", "cho_solve", "cholesky", "solve", "solve_triangular", "inv"):
             monkeypatch.setattr(scipy.linalg, name, no_scipy)
-        monkeypatch.setattr(emp, "dormqr", no_scipy)
         for n, d in ((20, 30), (30, 20)):
             inst = small_instance(n=n, d=d, seed=5)
             x = build_design(inst, sample_matrix(n, d, "rademacher", 6))

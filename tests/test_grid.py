@@ -163,7 +163,8 @@ def test_risk_grids_at_each_shape(n, d):
     assert _rows(rp_risk(s, v, n, ms, 1.0)) == _rows(rp_risk(s, v, n, m, 1.0) for m in ms)
     lams = [0.0, 1e-9, 1e-3, 0.0, 1.0]
     assert _rows(ridge_risk(s, v, n, 1.0, lams)) == _rows(ridge_risk(s, v, n, 1.0, x) for x in lams)
-    assert rp_risk(s, v, n, ms, 1.0)[ms.index(n)].diverged
+    # m = n diverges unless d < n, where S spans the space and the risk is OLS's.
+    assert rp_risk(s, v, n, ms, 1.0)[ms.index(n)].diverged == (d >= n)
     assert ridge_risk(s, v, n, 1.0, lams)[0].diverged == (d == n)
 
 

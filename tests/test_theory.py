@@ -238,14 +238,15 @@ class TestRandomProjections:
         assert all(a < b for a, b in zip(biases, biases[1:]))
 
     def test_surjective_projection_collapses_to_ols(self):
-        # d < n and m >= d: the projection spans everything.
+        # d < n and m >= d: the projection spans everything, m = n included.
         s = make_isotropic(100, 1.0)
         v = uniform_signal(s)
         mn = minnorm_risk(s, v, 400, 1.0)
-        for m in (100, 150, 399, 500):
+        for m in (100, 150, 399, 400, 401, 500):
             br = rp_risk(s, v, 400, m, 1.0)
             assert br.bias == mn.bias
             assert br.variance == mn.variance
+            assert not br.diverged
 
     def test_d_equal_n_overparam_diverges(self):
         s = make_isotropic(100, 1.0)
