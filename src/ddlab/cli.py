@@ -17,6 +17,7 @@ Exit codes: 0 ok, 1 usage/configuration error, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -32,11 +33,13 @@ from .empirical import (
     GridAggregate,
     NumericalError,
     ProblemInstance,
-    ReplicationResult,
+    build_design,
     build_instance,
     child_seed,
-    conditional_risk_projected,
+    guarded_draw,
+    map_draws,
     probe_trace_equivalents,
+    projected_draw,
     run_replications,
     sample_matrix,
     seeded_instance,
@@ -74,6 +77,9 @@ REPLICATION_CSV_COLUMNS = ["grid_index", "m_or_lambda", "rep_index", "bias", "va
 FIG2_DELTAS = (0.2, 0.4, 0.6, 0.8, 1.4, 2.0, 3.0)
 FIG2_N_VALUES = (10, 100, 1000)
 FIG2_REALIZATIONS = 10
+FIG2_SUMMARY_KEYS = (
+    "mean_abs_gap_bias", "mean_abs_gap_variance", "gap_of_means_bias", "gap_of_means_variance",
+)
 
 
 class UsageError(Exception):
@@ -288,7 +294,7 @@ _PRESET_ASSUMPTIONS = {
 }
 
 
-def fig2_theory_measures(n: int) -> tuple[Spectrum, SignalMeasure, float]:
+def fig2_theory_measures(n: int) -> tuple[Spectrum, SignalMeasure]:
     """Limit measures for the two-atom convergence study at gamma = 2.
 
     Signal mass is spread uniformly over eigendirections and scaled to unit
@@ -296,9 +302,7 @@ def fig2_theory_measures(n: int) -> tuple[Spectrum, SignalMeasure, float]:
     """
     d = 2 * n
     spec = make_two_dirac(d, 0.5, 1.0, 4.0)
-    mean_eig = spec.trace / d
-    masses = (spec.weights / d) / mean_eig
-    return spec, SignalMeasure(masses=masses), mean_eig
+    return spec, SignalMeasure(masses=(spec.weights / d) / (spec.trace / d))
 
 
 def run_fig2(
@@ -311,57 +315,42 @@ def run_fig2(
     """Convergence study: per-n curve tables plus gap summaries.
 
     Each realization draws a fresh eigenbasis, target and design; the
-    projection is redrawn per grid point.  Each grid point's draws are
-    summarized by the rule every sweep uses (``summarize_point``).  Gap
-    summaries report both the mean over retained draws of
+    projection is redrawn per grid point.  Realizations run through the
+    sweeps' draw map and each (realization, grid point) draw through their
+    failure rule, so every grid point is summarized by ``summarize_point``.
+    Gap summaries report both the mean over retained draws of
     |replication - theory| and the gap of the replication mean, per curve.
     """
     tables: dict[int, list[CurveRow]] = {}
     summary: dict[int, dict] = {}
     for n in n_values:
-        spec_th, signal_th, _ = fig2_theory_measures(n)
+        spec_th, signal_th = fig2_theory_measures(n)
         eigs = np.sort(spec_th.expand())[::-1].copy()
         ms = [int(round(delta * n)) for delta in deltas]
-        rows = []
-        gaps_bias, gaps_var = [], []
-        gom_bias, gom_var = [], []
-        per_real: dict[int, list[ReplicationResult | None]] = {j: [] for j in range(len(deltas))}
-        for r in range(realizations):
-            inst = seeded_instance(
-                n, 1.0, eigs,
-                child_seed(master_seed, n, r, 2), child_seed(master_seed, n, r, 3),
-            )
-            z = sample_matrix(n, inst.d, sampler, child_seed(master_seed, n, r, 0))
-            x = z @ inst.sqrt_covariance()
-            for j, m in enumerate(ms):
-                s = sample_matrix(
-                    inst.d, m, sampler, child_seed(master_seed, n, r, 1, j)
-                )
-                try:
-                    bias, variance = conditional_risk_projected(inst, x, s)
-                except (NumericalError, np.linalg.LinAlgError):
-                    per_real[j].append(None)
-                    continue
-                per_real[j].append(
-                    ReplicationResult(rep_index=r, m=float(m), bias=bias, variance=variance)
-                )
+
+        def realization(r: int):
+            seed = functools.partial(child_seed, master_seed, n, r)
+            inst = seeded_instance(n, 1.0, eigs, seed(2), seed(3))
+            x = build_design(inst, sample_matrix(n, inst.d, sampler, seed(0)))
+            return [
+                guarded_draw(projected_draw, inst, x, r, m, sampler, seed(1, j))
+                for j, m in enumerate(ms)
+            ]
+
+        draws = map_draws(realization, range(realizations))
         theory = rp_risk(spec_th, signal_th, n, ms, 1.0)
+        rows, gaps = [], []
         for j, (delta, m, br) in enumerate(zip(deltas, ms, theory)):
-            agg, kept = summarize_point(m, per_real[j])
+            agg, kept = summarize_point(m, [per_real[j] for per_real in draws])
             b = np.array([res.bias for res in kept])
             v = np.array([res.variance for res in kept])
-            gaps_bias.append(float(np.mean(np.abs(b - br.bias))))
-            gaps_var.append(float(np.mean(np.abs(v - br.variance))))
-            gom_bias.append(abs(agg.bias_mean - br.bias))
-            gom_var.append(abs(agg.var_mean - br.variance))
+            gaps.append((
+                float(np.mean(np.abs(b - br.bias))), float(np.mean(np.abs(v - br.variance))),
+                abs(agg.bias_mean - br.bias), abs(agg.var_mean - br.variance),
+            ))
             rows.append(_curve_row(m, delta, br, agg))
         tables[n] = rows
-        summary[n] = {
-            "mean_abs_gap_bias": float(np.mean(gaps_bias)),
-            "mean_abs_gap_variance": float(np.mean(gaps_var)),
-            "gap_of_means_bias": float(np.mean(gom_bias)),
-            "gap_of_means_variance": float(np.mean(gom_var)),
-        }
+        summary[n] = {key: float(np.mean(col)) for key, col in zip(FIG2_SUMMARY_KEYS, zip(*gaps))}
     return tables, summary
 
 
@@ -404,11 +393,19 @@ _SPECTRUM_USAGE = ", ".join(
 )
 
 
+def _parse_list(flag: str, text: str, convert=float) -> list:
+    """The comma-separated values of a list flag; a bad value is a usage
+    error naming the flag."""
+    try:
+        return [convert(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+
+
 def parse_spectrum_flag(text: str) -> tuple[str, list[float]]:
     """Parse 'kind' or 'kind:p1,p2,...' into (kind, params)."""
     kind, _, tail = text.partition(":")
-    params = [float(p) for p in tail.split(",")] if tail else []
-    return kind, params
+    return kind, _parse_list("--spectrum", tail) if tail else []
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +449,10 @@ def _config_from_args(args, mode: str) -> SweepConfig:
     if args.signal_seed is not None:
         _sub_object(doc, "signal")["seed"] = args.signal_seed
     if args.m_grid is not None:
-        doc["m_grid"] = [int(v) for v in args.m_grid.split(",")]
+        doc["m_grid"] = _parse_list("--m-grid", args.m_grid, int)
         doc["lambda_grid"] = []
     if args.lambda_grid is not None:
-        doc["lambda_grid"] = [float(v) for v in args.lambda_grid.split(",")]
+        doc["lambda_grid"] = _parse_list("--lambda-grid", args.lambda_grid)
         doc["m_grid"] = []
     doc["mode"] = mode
     return SweepConfig.from_dict(doc)
@@ -534,7 +531,7 @@ def _cmd_kappa(args) -> int:
 
 
 def _cmd_probe_traces(args) -> int:
-    lams = [float(v) for v in args.lambdas.split(",")]
+    lams = _parse_list("--lambdas", args.lambdas)
     if not all(0 < lam < math.inf for lam in lams):
         raise UsageError(f"--lambdas must be finite and positive, got {args.lambdas}")
     if args.seeds < 1:

@@ -39,6 +39,15 @@ DEFAULT_SIGNAL_SEED = 1234
 DEFAULT_MASTER_SEED = 20_240_001
 
 
+# The schema's flat fields, and the fields of its nested objects, each of
+# which sets the SweepConfig attribute "<object>_<field>".
+_TOP_FIELDS = (
+    "n", "d", "sigma_noise", "m_grid", "lambda_grid", "replications", "sampler",
+    "master_seed", "mode",
+)
+_NESTED_FIELDS = {"spectrum": ("kind", "params", "path"), "signal": ("kind", "seed", "path")}
+
+
 class ConfigError(ValueError):
     """A sweep configuration violates the schema."""
 
@@ -166,45 +175,24 @@ class SweepConfig:
     def from_dict(cls, doc: dict) -> "SweepConfig":
         if not isinstance(doc, dict):
             raise ConfigError(f"config root: expected an object, got {type(doc).__name__}")
-        known = {
-            "n", "d", "sigma_noise", "spectrum", "signal", "m_grid",
-            "lambda_grid", "replications", "sampler", "master_seed", "mode",
-        }
-        unknown = set(doc) - known
+        unknown = set(doc) - {*_TOP_FIELDS, *_NESTED_FIELDS}
         if unknown:
             raise ConfigError(f"unknown field(s): {sorted(unknown)}")
         for req in ("n", "d"):
             if req not in doc:
                 raise ConfigError(f"{req}: required field missing")
-        kwargs: dict = {"n": doc["n"], "d": doc["d"]}
-        if "sigma_noise" in doc:
-            kwargs["sigma_noise"] = doc["sigma_noise"]
-        spectrum = doc.get("spectrum", {})
-        if not isinstance(spectrum, dict):
-            raise ConfigError("spectrum: expected an object")
-        if "kind" in spectrum:
-            kwargs["spectrum_kind"] = spectrum["kind"]
-        if "params" in spectrum:
-            if not isinstance(spectrum["params"], list):
-                raise ConfigError("spectrum.params: expected a list")
-            kwargs["spectrum_params"] = spectrum["params"]
-        if "path" in spectrum:
-            kwargs["spectrum_path"] = spectrum["path"]
-        signal = doc.get("signal", {})
-        if not isinstance(signal, dict):
-            raise ConfigError("signal: expected an object")
-        if "kind" in signal:
-            kwargs["signal_kind"] = signal["kind"]
-        if "seed" in signal:
-            kwargs["signal_seed"] = signal["seed"]
-        if "path" in signal:
-            kwargs["signal_path"] = signal["path"]
+        kwargs = {key: doc[key] for key in _TOP_FIELDS if key in doc}
         for key in ("m_grid", "lambda_grid"):
-            if key in doc:
-                if not isinstance(doc[key], list):
-                    raise ConfigError(f"{key}: expected a list")
-                kwargs[key] = doc[key]
-        for key in ("replications", "master_seed", "sampler", "mode"):
-            if key in doc:
-                kwargs[key] = doc[key]
+            if key in kwargs and not isinstance(kwargs[key], list):
+                raise ConfigError(f"{key}: expected a list")
+        for obj, fields in _NESTED_FIELDS.items():
+            sub = doc.get(obj, {})
+            if not isinstance(sub, dict):
+                raise ConfigError(f"{obj}: expected an object")
+            for key, value in sub.items():
+                if key not in fields:
+                    raise ConfigError(f"{obj}.{key}: unknown field")
+                kwargs[f"{obj}_{key}"] = value
+        if not isinstance(kwargs.get("spectrum_params", []), list):
+            raise ConfigError("spectrum.params: expected a list")
         return cls(**kwargs)

@@ -11,6 +11,7 @@ so replications can run concurrently and merge deterministically.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -21,13 +22,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .config import SweepConfig
-from .numkernel import (
-    DEFAULT_RANK_TOL,
-    NumericalError,
-    as_sym_matrix,
-    pseudo_inverse,
-    solve_shifted,
-)
+from .numkernel import NumericalError, as_sym_matrix, pseudo_inverse, solve_shifted
 from .selfconsistent import kappa_of_lambda
 from .spectrum import SignalMeasure, Spectrum, df2, spectrum_for, spectrum_from_json
 
@@ -51,6 +46,9 @@ __all__ = [
     "probe_trace_equivalents",
     "run_replications",
     "summarize_point",
+    "map_draws",
+    "guarded_draw",
+    "projected_draw",
 ]
 
 # Negative risk values above this threshold are roundoff and clamped to zero;
@@ -219,7 +217,8 @@ class ProblemInstance:
                 raise ValueError("basis columns are not orthonormal")
         self.__dict__.update(
             n=n, d=d, sigma_noise=sigma_noise, sigma_eigs=eigs, theta_star=theta,
-            _coords=coords, _basis=basis, _rotation=rotation, _basis_lock=threading.Lock(),
+            _coords=coords, _basis=basis, _rotation=rotation, _sqrt_cov=None,
+            _basis_lock=threading.Lock(),
         )
 
     def __setattr__(self, name, value):
@@ -244,8 +243,15 @@ class ProblemInstance:
         return b @ (e[:, None] * b.T)
 
     def sqrt_covariance(self) -> np.ndarray:
-        b, e = self.sigma_basis, self.sigma_eigs
-        return b @ (np.sqrt(e)[:, None] * b.T)
+        """Sigma^(1/2) = Q diag(e^(1/2)) Q', formed on first use; read-only."""
+        if self._sqrt_cov is None:
+            b = self.sigma_basis
+            with self._basis_lock:
+                if self._sqrt_cov is None:
+                    root = b @ (np.sqrt(self.sigma_eigs)[:, None] * b.T)
+                    root.flags.writeable = False
+                    self.__dict__["_sqrt_cov"] = root
+        return self._sqrt_cov
 
     # -- measure views ------------------------------------------------------
 
@@ -274,12 +280,12 @@ def _check_orthonormal(basis: np.ndarray) -> None:
 
 
 def build_design(inst: ProblemInstance, z: np.ndarray) -> np.ndarray:
-    """Design matrix X = Z Sigma^(1/2) for a unit-variance draw Z."""
+    """Design matrix X = Z Sigma^(1/2) for a unit-variance draw Z; every
+    Monte Carlo draw forms its design here."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[1] != inst.d:
         raise ValueError(f"z has shape {z.shape}, expected (*, {inst.d})")
-    b, e = inst.sigma_basis, inst.sigma_eigs
-    return ((z @ b) * np.sqrt(e)[None, :]) @ b.T
+    return z @ inst.sqrt_covariance()
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +391,7 @@ def _risk_of_map(
 
 
 def conditional_risk_projected(
-    inst: ProblemInstance, X: np.ndarray, S: np.ndarray, tol: float = DEFAULT_RANK_TOL
+    inst: ProblemInstance, X: np.ndarray, S: np.ndarray
 ) -> tuple[float, float]:
     """Noise-exact (bias, variance) of min-norm least squares on A = X @ S.
 
@@ -393,7 +399,7 @@ def conditional_risk_projected(
     on (X, S) the variance is sigma^2 tr[P' Sigma P] and the bias is the
     excess risk of the noiseless fit P X theta.  Raises
     RankDeficientDesignError when A falls below its generic rank
-    min(n, m, d) at the given tolerance.
+    min(n, m, d) at pseudo_inverse's default tolerance.
 
     The map is scored in Sigma's eigenbasis (Sigma = Q diag(e) Q'): with
     M = e^(1/2) Q'S pinv(A), the variance is sigma^2 ||M||_F^2 and the bias
@@ -404,7 +410,7 @@ def conditional_risk_projected(
     """
     n, m = X.shape[0], S.shape[1]
     A = X @ S
-    pinv_a, rank = pseudo_inverse(A, tol=tol)
+    pinv_a, rank = pseudo_inverse(A)
     expected = min(n, m, inst.d)
     if rank < expected:
         raise RankDeficientDesignError(
@@ -687,15 +693,6 @@ class SweepEmpirical:
     aggregates: list[GridAggregate] = field(default_factory=list)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    return max(1, workers)
-
-
 def _clamp(value: float) -> tuple[float, bool, bool]:
     """Returns (clamped value, was_clamped, is_error)."""
     if value >= 0.0:
@@ -744,6 +741,43 @@ def summarize_point(
     return aggregate, kept
 
 
+def map_draws(task, keys) -> list:
+    """[task(key) for key in keys] on up to DDLAB_THREADS worker threads
+    (default 1), in key order.  Every Monte Carlo draw runs through here."""
+    raw = os.environ.get(THREADS_ENV_VAR, "1")
+    try:
+        workers = max(1, int(raw))
+    except ValueError:
+        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
+    if workers == 1:
+        return list(map(task, keys))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, keys))
+
+
+def guarded_draw(draw, *args) -> ReplicationResult | None:
+    """draw(*args), or None (which summarize_point excludes) when the draw
+    fails numerically."""
+    try:
+        return draw(*args)
+    except (NumericalError, np.linalg.LinAlgError):
+        return None
+
+
+def projected_draw(
+    inst: ProblemInstance, x: np.ndarray, rep_index: int, m: int, sampler: str, seed: int,
+    record_kappa: bool = False,
+) -> ReplicationResult:
+    """Score x against a d x m projection drawn from ``seed``; with
+    ``record_kappa`` and m <= d, also estimate kappa from Q'S."""
+    s = sample_matrix(inst.d, m, sampler, seed)
+    bias, variance = conditional_risk_projected(inst, x, s)
+    kappa_hat = None
+    if record_kappa and m <= inst.d:
+        kappa_hat = empirical_kappa_m(inst.sigma_eigs, inst.sigma_basis.T @ s)
+    return ReplicationResult(rep_index, float(m), bias, variance, kappa_hat)
+
+
 def run_replications(
     config: SweepConfig, inst: ProblemInstance, record_kappa: bool = False
 ) -> SweepEmpirical:
@@ -754,47 +788,23 @@ def run_replications(
     For every grid point and replication index the child seeds are derived
     from (master_seed, grid index, replication index), so the result stream
     is a pure function of the configuration no matter how many worker
-    threads execute it (capped by the DDLAB_THREADS environment variable).
-    Each grid point's draws are summarized by ``summarize_point``.
+    threads ``map_draws`` uses.  Each grid point's draws are summarized by
+    ``summarize_point``.
     """
     grid_kind = config.grid_kind
     grid = config.m_grid if grid_kind == "m" else config.lambda_grid
-    sqrt_cov = inst.sqrt_covariance()
 
-    def one(gi: int, r: int):
-        value = grid[gi]
-        z = sample_matrix(
-            inst.n, inst.d, config.sampler, child_seed(config.master_seed, gi, r, _STREAM_Z)
-        )
-        x = z @ sqrt_cov
-        kappa_hat = None
+    def one(gi: int, r: int) -> ReplicationResult:
+        value, seed = grid[gi], functools.partial(child_seed, config.master_seed, gi, r)
+        x = build_design(inst, sample_matrix(inst.n, inst.d, config.sampler, seed(_STREAM_Z)))
         if grid_kind == "m":
-            s = sample_matrix(
-                inst.d, int(value), config.sampler,
-                child_seed(config.master_seed, gi, r, _STREAM_S),
-            )
-            bias, variance = conditional_risk_projected(inst, x, s)
-            if record_kappa and int(value) <= inst.d:
-                kappa_hat = empirical_kappa_m(inst.sigma_eigs, inst.sigma_basis.T @ s)
-        else:
-            bias, variance = conditional_risk_ridge(inst, x, float(value))
-        return ReplicationResult(
-            rep_index=r, m=float(value), bias=bias, variance=variance, kappa_hat=kappa_hat
-        )
-
-    def guarded(key: tuple[int, int]) -> ReplicationResult | None:
-        try:
-            return one(*key)
-        except (NumericalError, np.linalg.LinAlgError):
-            return None
+            s_seed = seed(_STREAM_S)
+            return projected_draw(inst, x, r, int(value), config.sampler, s_seed, record_kappa)
+        bias, variance = conditional_risk_ridge(inst, x, float(value))
+        return ReplicationResult(r, float(value), bias, variance)
 
     keys = [(gi, r) for gi in range(len(grid)) for r in range(config.replications)]
-    workers = _worker_count()
-    if workers == 1:
-        outcomes = list(map(guarded, keys))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(guarded, keys))
+    outcomes = map_draws(lambda key: guarded_draw(one, *key), keys)
 
     sweep = SweepEmpirical(grid_kind=grid_kind)
     reps = config.replications

@@ -96,9 +96,14 @@ class TestConfig:
         ({"sigma_noise": 10**400}, r"^sigma_noise:"),
         ({"lambda_grid": [0.1, 10**400]}, r"^lambda_grid\[1\]:"),
         ({"spectrum": {"kind": "isotropic", "params": [10**400]}}, r"^spectrum\.params\[0\]:"),
+        ({"signal": {"sed": 3}}, r"^signal\.sed:"),
+        ({"signal": {"kind": "random_gaussian_normalized", "seed": 3, "seeds": 4}},
+         r"^signal\.seeds:"),
+        ({"spectrum": {"kind": "isotropic", "param": [1.0]}}, r"^spectrum\.param:"),
     ], ids=["arity_short", "arity_long", "non_numeric", "fractional_reps", "bool_n", "bool_d",
             "inf_sigma", "nan_sigma", "inf_lambda", "nan_lambda", "inf_param", "nan_param",
-            "huge_int_sigma", "huge_int_lambda", "huge_int_param"])
+            "huge_int_sigma", "huge_int_lambda", "huge_int_param", "unknown_signal_key",
+            "unknown_signal_key_beside_known", "unknown_spectrum_key"])
     def test_schema_rejects_with_field_path(self, doc, field):
         with pytest.raises(ConfigError, match=field):
             SweepConfig.from_dict({"n": 10, "d": 5, **doc})
@@ -274,6 +279,19 @@ class TestMain:
                 "--out", str(tmp_path / "p.csv"),
             ]) == 1, (flag, value)
             assert flag in capsys.readouterr().err
+        # A list flag whose value does not parse is named in the error.
+        for command, flag, value in (
+            (["theory"], "--m-grid", "5,1.5"), (["theory"], "--m-grid", ""),
+            (["empirical", "--reps", "2"], "--lambda-grid", "0.1,x"),
+            (["theory"], "--spectrum", "two_dirac:0.5,one,4"),
+            (["probe-traces"], "--lambdas", "0.1,,1"),
+        ):
+            assert main([
+                *command, "--n", "20", "--d", "40", flag, value, "--out", str(tmp_path / "u.csv"),
+            ]) == 1, (command, flag, value)
+            assert capsys.readouterr().err.startswith(f"error: {flag}: "), (command, flag)
+        assert main(["kappa", "--spectrum", "isotropic:x", "--gamma", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error: --spectrum: ")
 
     def test_empirical_builds_instance_once(self, tmp_path, monkeypatch):
         import ddlab.cli
@@ -435,11 +453,11 @@ class TestFig2Driver:
         }
 
     def test_draws_follow_the_sweep_replication_rule(self, monkeypatch):
-        import ddlab.cli
+        import ddlab.empirical
         from ddlab.cli import run_fig2
         from ddlab.empirical import RankDeficientDesignError
 
-        original = ddlab.cli.conditional_risk_projected
+        original = ddlab.empirical.conditional_risk_projected
         draws = []
 
         # Draws run realization by realization: (r0, 0.4), (r0, 2.0), (r1, 0.4), ...
@@ -453,7 +471,9 @@ class TestFig2Driver:
             draws.append((bias, variance))
             return bias, variance
 
-        monkeypatch.setattr(ddlab.cli, "conditional_risk_projected", patched)
+        monkeypatch.setattr(ddlab.empirical, "conditional_risk_projected", patched)
+        # The draw counter needs the draws in order, on one worker.
+        monkeypatch.setenv("DDLAB_THREADS", "1")
         tables, summary = run_fig2(n_values=(10,), deltas=(0.4, 2.0), realizations=3)
         small, large = tables[10]
         # A genuinely negative bias and a rank-deficient draw are excluded ...
@@ -464,6 +484,17 @@ class TestFig2Driver:
         assert large.reps_used == 3
         assert large.bias_emp_mean == pytest.approx(np.mean([0.0, draws[3][0], draws[5][0]]))
         assert all(math.isfinite(v) for v in summary[10].values())
+
+    def test_thread_count_does_not_change_results(self, monkeypatch):
+        from ddlab.cli import run_fig2
+
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DDLAB_THREADS", threads)
+            runs.append(run_fig2(n_values=(10,), deltas=(0.4, 2.0), realizations=3))
+        (tables_1, summary_1), (tables_2, summary_2) = runs
+        assert tables_1 == tables_2
+        assert summary_1 == summary_2
 
     def test_kappa_dof_target_subcommand(self, capsys):
         # Single atom at 1 with d = 2n: df1(kappa) = n/2 gives kappa = 3.
