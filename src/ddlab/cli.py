@@ -50,6 +50,7 @@ from .spectrum import (
     SPECTRUM_KINDS,
     SignalMeasure,
     Spectrum,
+    check_spectrum_params,
     make_isotropic,
     make_two_dirac,
     spectrum_for,
@@ -166,7 +167,7 @@ def read_curve_csv(path) -> list[CurveRow]:
         return float(cell)
 
     rows = []
-    for ln in lines[1:]:
+    for k, ln in enumerate(lines[1:], start=1):
         cells = ln.split(",")
         if len(cells) != len(CSV_COLUMNS):
             raise ValueError(f"row has {len(cells)} cells, expected {len(CSV_COLUMNS)}")
@@ -175,7 +176,8 @@ def read_curve_csv(path) -> list[CurveRow]:
             as_int = col in ("diverged_flag", "reps_used")
             value = parse(cell, as_int)
             kwargs[col] = value
-        kwargs["m_or_lambda"] = float(kwargs["m_or_lambda"])
+        if kwargs["m_or_lambda"] is None:
+            raise ValueError(f"row {k}, column m_or_lambda: NA where a grid value is required")
         rows.append(CurveRow(**kwargs))
     return rows
 
@@ -408,6 +410,19 @@ def parse_spectrum_flag(text: str) -> tuple[str, list[float]]:
     return kind, _parse_list("--spectrum", tail) if tail else []
 
 
+def _checked_spectrum_flag(text: str) -> tuple[str, list[float]]:
+    """parse_spectrum_flag for a command without a config schema: a kind or
+    parameter that does not fit is a usage error naming the flag."""
+    kind, params = parse_spectrum_flag(text)
+    try:
+        check_spectrum_params(kind, params)
+    except ValueError as exc:
+        raise UsageError(f"--spectrum: {exc}") from None
+    if SPECTRUM_KINDS[kind].make is None:
+        raise UsageError(f"--spectrum: kind {kind!r} is read from a --config file")
+    return kind, params
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -512,7 +527,7 @@ def _cmd_empirical(args) -> int:
 
 
 def _cmd_kappa(args) -> int:
-    kind, params = parse_spectrum_flag(args.spectrum)
+    kind, params = _checked_spectrum_flag(args.spectrum)
     if args.gamma is not None:
         n, d = _dims_for_gamma(args.gamma)
     elif args.n is not None and args.d is not None:
@@ -536,7 +551,7 @@ def _cmd_probe_traces(args) -> int:
         raise UsageError(f"--lambdas must be finite and positive, got {args.lambdas}")
     if args.seeds < 1:
         raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
-    kind, params = parse_spectrum_flag(args.spectrum)
+    kind, params = _checked_spectrum_flag(args.spectrum)
     config = SweepConfig(
         n=args.n, d=args.d, sigma_noise=1.0, spectrum_kind=kind, spectrum_params=params,
         sampler=args.sampler, master_seed=args.master_seed, mode="probe",

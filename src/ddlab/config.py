@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .spectrum import SPECTRUM_KINDS, check_spectrum_params
+from .spectrum import SPECTRUM_KINDS, SpectrumParamError, check_spectrum_params
 
 
 def default_m_grid(n: int) -> list[int]:
@@ -110,8 +110,8 @@ class SweepConfig:
                 raise ConfigError(f"spectrum.params[{i}]: must be a finite number, got {p!r}")
         try:
             check_spectrum_params(self.spectrum_kind, self.spectrum_params)
-        except ValueError as exc:
-            raise ConfigError(f"spectrum.params: {exc}") from None
+        except SpectrumParamError as exc:
+            raise ConfigError(f"spectrum.{exc.field}: {exc}") from None
         self.spectrum_params = [float(p) for p in self.spectrum_params]
         if self.signal_kind not in SIGNAL_KINDS:
             raise ConfigError(f"signal.kind: {self.signal_kind!r} not one of {SIGNAL_KINDS}")

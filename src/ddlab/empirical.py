@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .config import SweepConfig
 from .numkernel import NumericalError, as_sym_matrix, pseudo_inverse, solve_shifted
@@ -110,71 +109,32 @@ def sample_matrix(rows: int, cols: int, sampler: str, seed: int) -> np.ndarray:
 
 
 class SeededRotation:
-    """Seeded uniformly random d x d orthogonal matrix Q, kept as Householder
-    reflectors until a caller needs it as a matrix.
+    """Seeded uniformly random d x d orthogonal matrix Q, kept as its seed.
 
     Q is the Q factor of a seeded Gaussian draw G = QR, column signs fixed by
-    the diagonal of R.  The factorization is LAPACK's raw one (dgeqrf), and
-    Q or Q' reaches a vector through the reflectors in O(d^2), in numpy.
+    the diagonal of R.  Nothing d x d exists until ``matrix()`` draws G and
+    factors it; ProblemInstance calls it at most once.
     """
 
     def __init__(self, d: int, seed: int):
-        # A Fortran-ordered G gives the same factors as a C-ordered one, and
-        # gives them in Fortran order: reflector k is a contiguous row of
-        # reflectors.T.
-        g = np.asfortranarray(np.random.default_rng(seed).standard_normal((d, d)))
-        h, self.tau = np.linalg.qr(g, mode="raw")
-        # LAPACK layout: R on and above the diagonal, the reflectors below it.
-        self.reflectors = h.T
-        self.signs = np.sign(np.diag(self.reflectors))
-
-    def apply(self, v: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """Q v, or Q' v when transpose is set.
-
-        Q = H_1 ... H_d with H_k = I - tau_k u_k u_k', where u_k is 0 above
-        row k, 1 at row k and reflector k below it.  Q' v applies H_1 first
-        and Q v applies H_d first, one dot product and one axpy each, in the
-        order of LAPACK's unblocked dorm2r.
-        """
-        out = np.array(v, dtype=float)
-        d = self.tau.shape[0]
-        if out.shape != (d,):
-            raise ValueError(f"vector has shape {out.shape}, expected ({d},)")
-        if not transpose:
-            out *= self.signs
-        rows = self.reflectors.T
-        taus = self.tau.tolist()
-        for k in range(d) if transpose else range(d - 1, -1, -1):
-            tau = taus[k]
-            if tau == 0.0:  # H_k = I
-                continue
-            tail, rest = rows[k, k + 1 :], out[k + 1 :]
-            w = tau * (out[k] + tail @ rest)
-            out[k] -= w
-            rest -= w * tail
-        if transpose:
-            out *= self.signs
-        return out
+        self.d, self.seed = d, seed
 
     def matrix(self) -> np.ndarray:
-        """Q as a d x d array, bit-identical to np.linalg.qr(G)[0] * signs.
-
-        np.linalg.qr forms Q with this gufunc (LAPACK dorgqr, its workspace
-        queried, so blocked) from the same raw factors.
-        """
-        q = _umath_linalg.qr_reduced(self.reflectors, self.tau, signature="dd->d")
-        q *= self.signs
+        """Q as a d x d array; G and R are freed when it returns."""
+        q, r = np.linalg.qr(np.random.default_rng(self.seed).standard_normal((self.d, self.d)))
+        q *= np.sign(np.diag(r))[None, :]
         return q
 
 
 class ProblemInstance:
     """One concrete prediction problem under the i.i.d. design model.
 
-    Sigma = Q diag(sigma_eigs) Q'.  The eigenbasis is given either as the
-    d x d matrix Q or as a SeededRotation, which is formed into a matrix
-    only on the first covariance action; the target's eigen-coordinates
-    Q' theta_star are computed once, here, and serve the signal measure and
-    the signal strength.  Instances are immutable.
+    Sigma = Q diag(sigma_eigs) Q'.  An instance takes either the d x d
+    matrix Q with the target theta_star, or a SeededRotation with the
+    target's eigen-coordinates u = Q' theta_star (``signal_coords``).  The
+    coordinates serve the signal measure and the signal strength, so a
+    theory-only sweep never forms Q; a rotation's Q and theta_star = Q u
+    are formed together on first use.  Instances are immutable.
     """
 
     def __init__(
@@ -184,57 +144,57 @@ class ProblemInstance:
         sigma_noise: float,
         sigma_basis,
         sigma_eigs: np.ndarray,
-        theta_star: np.ndarray,
+        theta_star: np.ndarray | None = None,
         signal_coords: np.ndarray | None = None,
     ):
-        """``signal_coords`` is Q' theta_star when the caller already has it."""
         eigs = np.asarray(sigma_eigs, dtype=float)
-        theta = np.asarray(theta_star, dtype=float)
-        if isinstance(sigma_basis, SeededRotation):
-            rotation, basis, shape = sigma_basis, None, sigma_basis.reflectors.shape
-        else:
-            rotation, basis = None, np.asarray(sigma_basis, dtype=float)
-            shape = basis.shape
+        rotation = sigma_basis if isinstance(sigma_basis, SeededRotation) else None
+        target, other = (signal_coords, theta_star) if rotation else (theta_star, signal_coords)
+        if target is None or other is not None:
+            raise ValueError("a basis matrix takes theta_star, a SeededRotation signal_coords")
+        basis = None if rotation else np.asarray(sigma_basis, dtype=float)
+        shape = (rotation.d,) * 2 if rotation else basis.shape
+        target = np.asarray(target, dtype=float)
         if shape != (d, d):
             raise ValueError(f"basis has shape {shape}, expected ({d}, {d})")
-        if eigs.shape != (d,) or theta.shape != (d,):
+        if eigs.shape != (d,) or target.shape != (d,):
             raise ValueError("eigenvalues and theta must be d-vectors")
         if (eigs <= 0).any():
             raise ValueError("covariance eigenvalues must be positive")
-        if basis is not None:
-            _check_orthonormal(basis)
         if not sigma_noise >= 0:
             raise ValueError(f"noise level must be nonnegative, got {sigma_noise}")
-        if signal_coords is None and basis is not None:
-            signal_coords = basis.T @ theta
-        elif signal_coords is None:
-            signal_coords = rotation.apply(theta, transpose=True)
-        coords = np.asarray(signal_coords, dtype=float)
-        if rotation is not None:
-            # O(d) stand-in for the orthonormality check of a formed basis.
-            norm = np.linalg.norm(theta)
-            if not abs(np.linalg.norm(coords) - norm) <= 1e-10 * norm:
-                raise ValueError("basis columns are not orthonormal")
+        if basis is not None:
+            _check_orthonormal(basis)
         self.__dict__.update(
-            n=n, d=d, sigma_noise=sigma_noise, sigma_eigs=eigs, theta_star=theta,
-            _coords=coords, _basis=basis, _rotation=rotation, _sqrt_cov=None,
-            _basis_lock=threading.Lock(),
+            n=n, d=d, sigma_noise=sigma_noise, sigma_eigs=eigs,
+            _theta=None if rotation else target, _coords=target if rotation else basis.T @ target,
+            _basis=basis, _rotation=rotation, _sqrt_cov=None, _basis_lock=threading.Lock(),
         )
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ProblemInstance is immutable; cannot set {name!r}")
 
-    @property
-    def sigma_basis(self) -> np.ndarray:
-        """The eigenbasis Q as a d x d matrix, formed on first use."""
+    def _formed(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Q, theta_star); a rotation's Q is formed and checked, and
+        theta_star = Q u formed with it, once."""
         if self._basis is None:
             with self._basis_lock:
                 if self._basis is None:
                     basis = self._rotation.matrix()
                     _check_orthonormal(basis)
-                    # The reflectors are d x d as well; Q replaces them.
-                    self.__dict__.update(_basis=basis, _rotation=None)
-        return self._basis
+                    # theta first: a reader that sees the basis finds theta set.
+                    self.__dict__.update(_theta=basis @ self._coords, _basis=basis)
+        return self._basis, self._theta
+
+    @property
+    def sigma_basis(self) -> np.ndarray:
+        """The eigenbasis Q as a d x d matrix, formed on first use."""
+        return self._formed()[0]
+
+    @property
+    def theta_star(self) -> np.ndarray:
+        """The target coefficients; a rotation's are formed with its basis."""
+        return self._formed()[1]
 
     # -- covariance actions (never form Sigma unless asked) ----------------
 
@@ -297,17 +257,18 @@ def seeded_instance(
 ) -> ProblemInstance:
     """Instance with a seeded random eigenbasis and a seeded Gaussian target.
 
-    The target is normalized to unit signal strength theta' Sigma theta = 1,
-    computed from its eigen-coordinates; the basis stays unformed.
+    The target is seeded through its eigen-coordinates u: a standard normal
+    vector scaled to unit signal strength sum_i e_i u_i^2 = 1, with
+    theta_star = Q u.  A Gaussian vector independent of a Haar Q has
+    Q' theta ~ N(0, I), so this is a normalized Gaussian target in a random
+    basis.  Nothing d x d is formed here.
     """
     d = eigs.shape[0]
-    rotation = SeededRotation(d, basis_seed)
-    theta = np.random.default_rng(theta_seed).standard_normal(d)
-    coords = rotation.apply(theta, transpose=True)
-    scale = math.sqrt(float(eigs @ coords**2))
+    coords = np.random.default_rng(theta_seed).standard_normal(d)
+    coords /= math.sqrt(float(eigs @ coords**2))
     return ProblemInstance(
-        n=n, d=d, sigma_noise=sigma_noise, sigma_basis=rotation, sigma_eigs=eigs,
-        theta_star=theta / scale, signal_coords=coords / scale,
+        n=n, d=d, sigma_noise=sigma_noise, sigma_basis=SeededRotation(d, basis_seed),
+        sigma_eigs=eigs, signal_coords=coords,
     )
 
 
@@ -320,10 +281,11 @@ def build_instance(config: SweepConfig) -> ProblemInstance:
     """Materialize the deterministic problem instance a config describes.
 
     The eigenbasis is a seeded uniformly random orthogonal matrix and the
-    target coefficients are seeded as well, so the instance is a pure
-    function of the configuration.  The basis is held as a SeededRotation,
-    so a theory-only sweep, which reads the eigenvalues and the signal
-    masses alone, never forms the d x d matrix.
+    target's eigen-coordinates are seeded (or read from a file) as well, so
+    the instance is a pure function of the configuration.  The basis is held
+    as a SeededRotation, so building an instance is O(d), and a theory-only
+    sweep, which reads the eigenvalues and the signal masses alone, never
+    draws or factors the d x d matrix.
     """
     d = config.d
     if config.spectrum_kind == "file":
@@ -357,16 +319,13 @@ def build_instance(config: SweepConfig) -> ProblemInstance:
     file_order = np.argsort(file_eigs)[::-1]
     if not np.allclose(file_eigs[file_order], eigs, rtol=1e-9, atol=0.0):
         raise ValueError("aligned signal file does not match the spectrum")
-    rotation = SeededRotation(d, basis_seed)
-    coords = np.sqrt(per_direction[file_order])
     return ProblemInstance(
         n=config.n,
         d=d,
         sigma_noise=config.sigma_noise,
-        sigma_basis=rotation,
+        sigma_basis=SeededRotation(d, basis_seed),
         sigma_eigs=eigs,
-        theta_star=rotation.apply(coords),
-        signal_coords=coords,
+        signal_coords=np.sqrt(per_direction[file_order]),
     )
 
 

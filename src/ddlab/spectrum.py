@@ -11,6 +11,7 @@ function against these measures, hence exact on atoms.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -31,6 +32,7 @@ __all__ = [
     "make_inverse_index",
     "make_power_law",
     "make_two_dirac",
+    "SpectrumParamError",
     "check_spectrum_params",
     "spectrum_for",
     "spectrum_to_json",
@@ -237,8 +239,7 @@ def make_isotropic(d: int, sigma: float) -> Spectrum:
     """Single atom at sigma with full weight d."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if not sigma > 0:
-        raise ValueError(f"eigenvalue must be positive, got {sigma}")
+    check_spectrum_params("isotropic", [sigma])
     return Spectrum(eigenvalues=np.array([float(sigma)]), weights=np.array([float(d)]), d=d)
 
 
@@ -260,10 +261,7 @@ def make_power_law(d: int, alpha: float, tau: float = 1.0) -> Spectrum:
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if not alpha > 1:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    check_spectrum_params("power_law", [alpha, tau])
     k = np.arange(1, d + 1, dtype=float)
     return Spectrum(eigenvalues=tau * (d / k) ** alpha, weights=np.ones(d), d=d)
 
@@ -272,10 +270,7 @@ def make_two_dirac(d: int, pi1: float, sigma1: float, sigma2: float) -> Spectrum
     """Two atoms: weight pi1*d at sigma1 and (1-pi1)*d at sigma2."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if not 0.0 <= pi1 <= 1.0:
-        raise ValueError(f"pi1 must lie in [0, 1], got {pi1}")
-    if not (sigma1 > 0 and sigma2 > 0):
-        raise ValueError(f"eigenvalues must be positive, got {sigma1}, {sigma2}")
+    check_spectrum_params("two_dirac", [pi1, sigma1, sigma2])
     if pi1 == 0.0:
         return make_isotropic(d, sigma2)
     if pi1 == 1.0:
@@ -318,15 +313,43 @@ SPECTRUM_KINDS: dict[str, SpectrumKind] = {
 }
 
 
+# The values each named parameter admits, and the rule as an error states it.
+_PARAM_RULES: dict[str, tuple[Callable[[float], bool], str]] = {
+    "alpha": (lambda v: 1 < v < math.inf, "must be finite and exceed 1"),
+    "pi1": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    **dict.fromkeys(
+        ("sigma", "sigma1", "sigma2", "tau"),
+        (lambda v: 0 < v < math.inf, "must be finite and positive"),
+    ),
+}
+
+
+class SpectrumParamError(ValueError):
+    """Parameters that do not fit their spectrum kind; ``field`` names the
+    offending part, 'params' for the count or 'params[i]' for one value."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 def check_spectrum_params(kind: str, params) -> None:
-    """Raise ValueError unless kind is known and takes len(params) parameters."""
+    """Raise ValueError unless kind is known and params fit it: their count,
+    then each value against its parameter's rule (SpectrumParamError)."""
     entry = SPECTRUM_KINDS.get(kind)
     if entry is None:
         raise ValueError(f"unknown spectrum kind {kind!r}, expected one of {tuple(SPECTRUM_KINDS)}")
-    lo, hi = len(entry.required), len(entry.required) + len(entry.optional)
+    names = entry.required + entry.optional
+    lo, hi = len(entry.required), len(names)
     if not lo <= len(params) <= hi:
         count = str(lo) if lo == hi else f"{lo} to {hi}"
-        raise ValueError(f"{entry.usage(kind)} takes {count} parameter(s), got {len(params)}")
+        raise SpectrumParamError(
+            "params", f"{entry.usage(kind)} takes {count} parameter(s), got {len(params)}"
+        )
+    for i, (name, value) in enumerate(zip(names, params)):
+        admits, rule = _PARAM_RULES[name]
+        if not admits(value):
+            raise SpectrumParamError(f"params[{i}]", f"{name} {rule}, got {value}")
 
 
 def spectrum_for(kind: str, params, d: int) -> Spectrum:

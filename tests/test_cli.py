@@ -100,10 +100,21 @@ class TestConfig:
         ({"signal": {"kind": "random_gaussian_normalized", "seed": 3, "seeds": 4}},
          r"^signal\.seeds:"),
         ({"spectrum": {"kind": "isotropic", "param": [1.0]}}, r"^spectrum\.param:"),
+        ({"spectrum": {"kind": "power_law", "params": [0]}},
+         r"^spectrum\.params\[0\]: alpha must be finite and exceed 1"),
+        ({"spectrum": {"kind": "power_law", "params": [1.5, -2.0]}},
+         r"^spectrum\.params\[1\]: tau must be finite and positive"),
+        ({"spectrum": {"kind": "two_dirac", "params": [2, 1, 4]}},
+         r"^spectrum\.params\[0\]: pi1 must lie in \[0, 1\]"),
+        ({"spectrum": {"kind": "two_dirac", "params": [0.5, 1, 0]}},
+         r"^spectrum\.params\[2\]: sigma2 must be finite and positive"),
+        ({"spectrum": {"kind": "isotropic", "params": [-1]}},
+         r"^spectrum\.params\[0\]: sigma must be finite and positive"),
     ], ids=["arity_short", "arity_long", "non_numeric", "fractional_reps", "bool_n", "bool_d",
             "inf_sigma", "nan_sigma", "inf_lambda", "nan_lambda", "inf_param", "nan_param",
             "huge_int_sigma", "huge_int_lambda", "huge_int_param", "unknown_signal_key",
-            "unknown_signal_key_beside_known", "unknown_spectrum_key"])
+            "unknown_signal_key_beside_known", "unknown_spectrum_key", "alpha_range",
+            "tau_range", "pi1_range", "sigma2_range", "isotropic_range"])
     def test_schema_rejects_with_field_path(self, doc, field):
         with pytest.raises(ConfigError, match=field):
             SweepConfig.from_dict({"n": 10, "d": 5, **doc})
@@ -139,6 +150,15 @@ class TestCsv:
         for a, b in zip(rows, back):
             for col in CSV_COLUMNS:
                 assert getattr(a, col) == getattr(b, col)
+
+    def test_na_grid_value_names_row_and_column(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        write_curve_csv(path, [CurveRow(m_or_lambda=1.0), CurveRow(m_or_lambda=2.0)])
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(["NA"] * len(CSV_COLUMNS))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"row 2, column m_or_lambda"):
+            read_curve_csv(path)
 
     def test_na_for_absent_not_zero(self, tmp_path):
         cfg = SweepConfig(n=20, d=40, m_grid=[5, 30], mode="theory")
@@ -292,6 +312,21 @@ class TestMain:
             assert capsys.readouterr().err.startswith(f"error: {flag}: "), (command, flag)
         assert main(["kappa", "--spectrum", "isotropic:x", "--gamma", "2"]) == 1
         assert capsys.readouterr().err.startswith("error: --spectrum: ")
+        # An out-of-range spectrum parameter is named by its schema path, or
+        # by the flag where a command has no config schema.
+        for spectrum, field in (("power_law:0", "spectrum.params[0]"),
+                                ("two_dirac:2,1,4", "spectrum.params[0]"),
+                                ("isotropic:inf", "spectrum.params[0]"),
+                                ("file", "spectrum.path")):
+            assert main([
+                "theory", "--n", "20", "--d", "40", "--spectrum", spectrum,
+                "--out", str(tmp_path / "r.csv"),
+            ]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {field}: "), spectrum
+            probe = ["probe-traces", "--n", "20", "--d", "40", "--out", str(tmp_path / "r.csv")]
+            for argv in (["kappa", "--gamma", "2"], probe):
+                assert main([*argv, "--spectrum", spectrum]) == 1
+                assert capsys.readouterr().err.startswith("error: --spectrum: "), (argv, spectrum)
 
     def test_empirical_builds_instance_once(self, tmp_path, monkeypatch):
         import ddlab.cli
@@ -326,10 +361,11 @@ class TestMain:
         import ddlab.empirical
         from ddlab.spectrum import SignalMeasure, Spectrum, spectrum_to_json
 
-        def no_matrix(self):
-            raise AssertionError("d x d basis formed in a theory sweep")
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("d x d basis drawn or factored in a theory sweep")
 
         monkeypatch.setattr(ddlab.empirical.SeededRotation, "matrix", no_matrix)
+        monkeypatch.setattr(np.linalg, "qr", no_matrix)
         spec = Spectrum(eigenvalues=np.array([0.5, 2.0]), weights=np.array([40.0, 20.0]), d=60)
         measures = tmp_path / "measures.json"
         measures.write_text(spectrum_to_json(spec, SignalMeasure(masses=np.array([0.8, 1.2]))))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -220,6 +222,17 @@ class TestProblemInstance:
                 with pytest.raises(ValueError, match="orthonormal"):
                     _check_orthonormal(basis)
 
+    def test_basis_takes_its_own_target_form(self):
+        # A basis matrix takes theta_star; a SeededRotation takes Q' theta_star.
+        from ddlab.empirical import ProblemInstance
+
+        common = dict(n=4, d=3, sigma_noise=1.0, sigma_eigs=np.ones(3))
+        for basis, target in ((np.eye(3), "signal_coords"), (SeededRotation(3, 1), "theta_star")):
+            with pytest.raises(ValueError, match="takes"):
+                ProblemInstance(sigma_basis=basis, **{target: np.ones(3)}, **common)
+            with pytest.raises(ValueError, match="takes"):
+                ProblemInstance(sigma_basis=basis, **common)
+
     def test_theta_dimension_mismatch(self):
         from ddlab.empirical import ProblemInstance
 
@@ -231,8 +244,8 @@ class TestProblemInstance:
 
 
 def old_seeded_basis(d, seed):
-    """The basis kernel before the reflector form: a full QR with the column
-    signs fixed by diag(R), kept as the reference the rotation must match."""
+    """The seeded basis kernel: a full QR with the column signs fixed by
+    diag(R), kept as the reference the rotation must match."""
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
     q *= np.sign(np.diag(r))[None, :]
     return q
@@ -243,64 +256,31 @@ class TestSeededRotation:
     def test_matrix_matches_old_kernel(self, d):
         assert np.array_equal(SeededRotation(d, 5).matrix(), old_seeded_basis(d, 5))
 
-    @pytest.mark.parametrize("d", [1, 7, 300])
-    def test_apply_matches_matrix(self, d):
-        rotation = SeededRotation(d, 6)
-        q = rotation.matrix()
-        v = np.random.default_rng(7).standard_normal(d)
-        assert np.allclose(rotation.apply(v), q @ v, rtol=0, atol=1e-12)
-        assert np.allclose(rotation.apply(v, transpose=True), q.T @ v, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("d", [1, 2, 7, 64, 300, 2000])
-    def test_apply_matches_lapack_dormqr(self, d):
-        # The kernel before the numpy loop: LAPACK's dormqr on the same
-        # reflectors.  Entries near zero carry the vector's absolute
-        # roundoff, so the tolerance is scaled by its largest entry.
-        from scipy.linalg.lapack import dormqr
-
-        rotation = SeededRotation(d, 9)
-        assert rotation.tau[-1] == 0.0  # the last reflector of a square QR; d = 1 has only it
-        v = np.random.default_rng(d).standard_normal(d)
-        for transpose in (False, True):
-            rhs = v if transpose else rotation.signs * v
-            out, _, info = dormqr(
-                "L", "T" if transpose else "N", rotation.reflectors, rotation.tau,
-                rhs[:, None], lwork=1,
-            )
-            assert info == 0
-            ref = rotation.signs * out[:, 0] if transpose else out[:, 0]
-            np.testing.assert_allclose(
-                rotation.apply(v, transpose=transpose), ref,
-                rtol=1e-12, atol=1e-12 * np.abs(ref).max(),
-            )
-
-    def test_apply_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="shape"):
-            SeededRotation(4, 1).apply(np.ones(5))
-
     @pytest.mark.parametrize("d", [1, 2, 7, 64, 300])
     def test_seeded_instance_matches_old_kernel(self, d):
         eigs = np.sort(np.random.default_rng(d).uniform(0.1, 2.0, d))[::-1].copy()
         inst = seeded_instance(10, 1.0, eigs, basis_seed=5, theta_seed=8)
+        coords = np.random.default_rng(8).standard_normal(d)
+        coords = coords / math.sqrt(float(eigs @ coords**2))
+        assert np.array_equal(inst.signal().masses, coords**2)
+        assert inst.signal_strength() == pytest.approx(1.0, rel=1e-12)
         q = old_seeded_basis(d, 5)
-        theta = np.random.default_rng(8).standard_normal(d)
-        theta = theta / np.sqrt(theta @ (q @ (eigs * (q.T @ theta))))
-        np.testing.assert_allclose(inst.theta_star, theta, rtol=1e-12)
-        np.testing.assert_allclose(inst.signal().masses, (q.T @ theta) ** 2, rtol=1e-12)
-        assert inst.signal_strength() == pytest.approx(
-            float(theta @ (q @ (eigs * (q.T @ theta)))), rel=1e-12
-        )
         assert np.array_equal(inst.sigma_basis, q)
+        np.testing.assert_allclose(inst.theta_star, q @ coords, rtol=1e-12)
 
     @pytest.mark.parametrize("signal_kind", ["random_gaussian_normalized", "aligned_file"])
     def test_corrupted_reflectors_fail_at_build(self, tmp_path, monkeypatch, signal_kind):
+        # A formed Q that is not orthonormal fails on the first access to the
+        # basis or to the target, which is formed with it.
         import ddlab.empirical as emp
         from ddlab.spectrum import SignalMeasure, Spectrum, spectrum_to_json
 
-        class Corrupted(SeededRotation):
-            def __init__(self, d, seed):
-                super().__init__(d, seed)
-                self.tau[0] *= 0.5
+        matrix = emp.SeededRotation.matrix
+
+        def corrupted(self):
+            q = matrix(self)
+            q[:, 0] *= 0.5
+            return q
 
         spec = Spectrum(eigenvalues=np.array([0.5, 2.0]), weights=np.array([4.0, 2.0]), d=6)
         path = tmp_path / "measures.json"
@@ -309,10 +289,12 @@ class TestSeededRotation:
             n=12, d=6, spectrum_kind="file", spectrum_path=str(path),
             signal_kind=signal_kind, m_grid=[3], mode="theory",
         )
-        build_instance(cfg)
-        monkeypatch.setattr(emp, "SeededRotation", Corrupted)
-        with pytest.raises(ValueError, match="orthonormal"):
-            build_instance(cfg)
+        build_instance(cfg).sigma_basis
+        monkeypatch.setattr(emp.SeededRotation, "matrix", corrupted)
+        for name in ("sigma_basis", "theta_star"):
+            inst = build_instance(cfg)
+            with pytest.raises(ValueError, match="orthonormal"):
+                getattr(inst, name)
 
     def test_basis_formed_once_under_threads(self, monkeypatch):
         import sys
@@ -329,17 +311,23 @@ class TestSeededRotation:
 
         monkeypatch.setattr(emp.SeededRotation, "matrix", counting)
         inst = seeded_instance(10, 1.0, np.linspace(2.0, 0.5, 64), 3, 4)
-        seen = []
+        seen, thetas = [], []
         barrier = threading.Barrier(8)
 
-        def reach():
+        def reach(k):
             barrier.wait(timeout=30)
-            seen.append(inst.sigma_basis)
+            # Half the threads reach the basis first, half the target.
+            if k % 2:
+                thetas.append(inst.theta_star)
+                seen.append(inst.sigma_basis)
+            else:
+                seen.append(inst.sigma_basis)
+                thetas.append(inst.theta_star)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=reach) for _ in range(8)]
+            threads = [threading.Thread(target=reach, args=(k,)) for k in range(8)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -349,7 +337,9 @@ class TestSeededRotation:
         assert not any(t.is_alive() for t in threads)
         assert len(calls) == 1
         assert len(seen) == 8 and all(b is seen[0] for b in seen)
+        assert len(thetas) == 8 and all(t is thetas[0] for t in thetas)
         assert np.array_equal(seen[0], old_seeded_basis(64, 3))
+        assert np.array_equal(thetas[0], seen[0] @ inst._coords)
 
 
 class TestInstanceFromFiles:
