@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +28,6 @@ from .spectrum import SignalMeasure, Spectrum, df2, spectrum_for, spectrum_from_
 
 __all__ = [
     "ProblemInstance",
-    "SeededRotation",
     "ReplicationResult",
     "GridAggregate",
     "SweepEmpirical",
@@ -38,6 +38,7 @@ __all__ = [
     "build_design",
     "build_instance",
     "seeded_instance",
+    "seeded_basis",
     "conditional_risk_projected",
     "conditional_risk_ridge",
     "empirical_kappa_lambda",
@@ -108,93 +109,79 @@ def sample_matrix(rows: int, cols: int, sampler: str, seed: int) -> np.ndarray:
     raise ValueError(f"unknown sampler {sampler!r}")
 
 
-class SeededRotation:
-    """Seeded uniformly random d x d orthogonal matrix Q, kept as its seed.
-
-    Q is the Q factor of a seeded Gaussian draw G = QR, column signs fixed by
-    the diagonal of R.  Nothing d x d exists until ``matrix()`` draws G and
-    factors it; ProblemInstance calls it at most once.
-    """
-
-    def __init__(self, d: int, seed: int):
-        self.d, self.seed = d, seed
-
-    def matrix(self) -> np.ndarray:
-        """Q as a d x d array; G and R are freed when it returns."""
-        q, r = np.linalg.qr(np.random.default_rng(self.seed).standard_normal((self.d, self.d)))
-        q *= np.sign(np.diag(r))[None, :]
-        return q
+def seeded_basis(d: int, seed: int) -> np.ndarray:
+    """Seeded uniformly random d x d orthogonal matrix: the Q factor of a
+    seeded Gaussian draw G = QR, column signs fixed by the diagonal of R.
+    G and R are freed when it returns."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    q *= np.sign(np.diag(r))[None, :]
+    return q
 
 
 class ProblemInstance:
     """One concrete prediction problem under the i.i.d. design model.
 
-    Sigma = Q diag(sigma_eigs) Q'.  An instance takes either the d x d
-    matrix Q with the target theta_star, or a SeededRotation with the
-    target's eigen-coordinates u = Q' theta_star (``signal_coords``).  The
-    coordinates serve the signal measure and the signal strength, so a
-    theory-only sweep never forms Q; a rotation's Q and theta_star = Q u
-    are formed together on first use.  Instances are immutable.
+    Sigma = Q diag(sigma_eigs) Q' and theta_star = Q u, with u the target's
+    eigen-coordinates ``signal_coords``.  ``basis`` is Q as a d x d
+    orthonormal matrix, checked here, or an integer seed of
+    ``seeded_basis(d, seed)``, drawn and checked on first use.  The
+    eigenvalues and u serve the signal measure and the signal strength, so
+    a theory-only sweep never forms Q.  (Q, theta_star) and Sigma^(1/2) are
+    each formed once, on first use.  Instances are immutable.
     """
 
-    def __init__(
-        self,
-        n: int,
-        d: int,
-        sigma_noise: float,
-        sigma_basis,
-        sigma_eigs: np.ndarray,
-        theta_star: np.ndarray | None = None,
-        signal_coords: np.ndarray | None = None,
-    ):
-        eigs = np.asarray(sigma_eigs, dtype=float)
-        rotation = sigma_basis if isinstance(sigma_basis, SeededRotation) else None
-        target, other = (signal_coords, theta_star) if rotation else (theta_star, signal_coords)
-        if target is None or other is not None:
-            raise ValueError("a basis matrix takes theta_star, a SeededRotation signal_coords")
-        basis = None if rotation else np.asarray(sigma_basis, dtype=float)
-        shape = (rotation.d,) * 2 if rotation else basis.shape
-        target = np.asarray(target, dtype=float)
-        if shape != (d, d):
-            raise ValueError(f"basis has shape {shape}, expected ({d}, {d})")
-        if eigs.shape != (d,) or target.shape != (d,):
-            raise ValueError("eigenvalues and theta must be d-vectors")
+    def __init__(self, n: int, sigma_noise: float, sigma_eigs, signal_coords, basis):
+        eigs, coords = np.array(sigma_eigs, dtype=float), np.array(signal_coords, dtype=float)
+        if eigs.ndim != 1 or coords.shape != eigs.shape:
+            raise ValueError("eigenvalues and signal coordinates must be d-vectors")
+        d = eigs.shape[0]
+        if not (np.isfinite(eigs).all() and np.isfinite(coords).all()):
+            raise ValueError("eigenvalues and signal coordinates must be finite")
         if (eigs <= 0).any():
             raise ValueError("covariance eigenvalues must be positive")
-        if not sigma_noise >= 0:
-            raise ValueError(f"noise level must be nonnegative, got {sigma_noise}")
-        if basis is not None:
+        if not 0 <= sigma_noise < math.inf:
+            raise ValueError(f"noise level must be finite and nonnegative, got {sigma_noise}")
+        if not isinstance(basis, numbers.Integral):
+            basis = np.asarray(basis, dtype=float)
+            if basis.shape != (d, d):
+                raise ValueError(f"basis has shape {basis.shape}, expected ({d}, {d})")
             _check_orthonormal(basis)
+        eigs.flags.writeable = coords.flags.writeable = False
         self.__dict__.update(
-            n=n, d=d, sigma_noise=sigma_noise, sigma_eigs=eigs,
-            _theta=None if rotation else target, _coords=target if rotation else basis.T @ target,
-            _basis=basis, _rotation=rotation, _sqrt_cov=None, _basis_lock=threading.Lock(),
+            n=n, d=d, sigma_noise=sigma_noise, sigma_eigs=eigs, signal_coords=coords,
+            _basis=basis, _formed=None, _sqrt_cov=None, _lock=threading.RLock(),
         )
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ProblemInstance is immutable; cannot set {name!r}")
 
-    def _formed(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Q, theta_star); a rotation's Q is formed and checked, and
-        theta_star = Q u formed with it, once."""
-        if self._basis is None:
-            with self._basis_lock:
-                if self._basis is None:
-                    basis = self._rotation.matrix()
-                    _check_orthonormal(basis)
-                    # theta first: a reader that sees the basis finds theta set.
-                    self.__dict__.update(_theta=basis @ self._coords, _basis=basis)
-        return self._basis, self._theta
+    def _once(self, name: str, make):
+        """The attribute ``name``, set to make() by the first reader.  The
+        lock is reentrant, so one make() may read another's attribute."""
+        value = self.__dict__[name]
+        if value is None:
+            with self._lock:
+                value = self.__dict__[name]
+                if value is None:
+                    value = self.__dict__[name] = make()
+        return value
+
+    def _form_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        basis = self._basis
+        if not isinstance(basis, np.ndarray):
+            basis = seeded_basis(self.d, basis)
+            _check_orthonormal(basis)
+        return basis, basis @ self.signal_coords
 
     @property
     def sigma_basis(self) -> np.ndarray:
         """The eigenbasis Q as a d x d matrix, formed on first use."""
-        return self._formed()[0]
+        return self._once("_formed", self._form_pair)[0]
 
     @property
     def theta_star(self) -> np.ndarray:
-        """The target coefficients; a rotation's are formed with its basis."""
-        return self._formed()[1]
+        """The target coefficients Q u, formed with the basis."""
+        return self._once("_formed", self._form_pair)[1]
 
     # -- covariance actions (never form Sigma unless asked) ----------------
 
@@ -202,16 +189,15 @@ class ProblemInstance:
         b, e = self.sigma_basis, self.sigma_eigs
         return b @ (e[:, None] * b.T)
 
+    def _form_sqrt_cov(self) -> np.ndarray:
+        b = self.sigma_basis
+        root = b @ (np.sqrt(self.sigma_eigs)[:, None] * b.T)
+        root.flags.writeable = False
+        return root
+
     def sqrt_covariance(self) -> np.ndarray:
         """Sigma^(1/2) = Q diag(e^(1/2)) Q', formed on first use; read-only."""
-        if self._sqrt_cov is None:
-            b = self.sigma_basis
-            with self._basis_lock:
-                if self._sqrt_cov is None:
-                    root = b @ (np.sqrt(self.sigma_eigs)[:, None] * b.T)
-                    root.flags.writeable = False
-                    self.__dict__["_sqrt_cov"] = root
-        return self._sqrt_cov
+        return self._once("_sqrt_cov", self._form_sqrt_cov)
 
     # -- measure views ------------------------------------------------------
 
@@ -219,11 +205,11 @@ class ProblemInstance:
         return Spectrum.from_eigenvalues(self.sigma_eigs)
 
     def signal(self) -> SignalMeasure:
-        return SignalMeasure(masses=self._coords**2)
+        return SignalMeasure(masses=self.signal_coords**2)
 
     def signal_strength(self) -> float:
         """theta' Sigma theta, the excess risk of predicting zero."""
-        return float(self.sigma_eigs @ self._coords**2)
+        return float(self.sigma_eigs @ self.signal_coords**2)
 
 
 def _check_orthonormal(basis: np.ndarray) -> None:
@@ -263,13 +249,9 @@ def seeded_instance(
     Q' theta ~ N(0, I), so this is a normalized Gaussian target in a random
     basis.  Nothing d x d is formed here.
     """
-    d = eigs.shape[0]
-    coords = np.random.default_rng(theta_seed).standard_normal(d)
+    coords = np.random.default_rng(theta_seed).standard_normal(eigs.shape[0])
     coords /= math.sqrt(float(eigs @ coords**2))
-    return ProblemInstance(
-        n=n, d=d, sigma_noise=sigma_noise, sigma_basis=SeededRotation(d, basis_seed),
-        sigma_eigs=eigs, signal_coords=coords,
-    )
+    return ProblemInstance(n, sigma_noise, eigs, coords, basis_seed)
 
 
 def _read_measures(path) -> tuple[Spectrum, SignalMeasure | None]:
@@ -283,9 +265,9 @@ def build_instance(config: SweepConfig) -> ProblemInstance:
     The eigenbasis is a seeded uniformly random orthogonal matrix and the
     target's eigen-coordinates are seeded (or read from a file) as well, so
     the instance is a pure function of the configuration.  The basis is held
-    as a SeededRotation, so building an instance is O(d), and a theory-only
-    sweep, which reads the eigenvalues and the signal masses alone, never
-    draws or factors the d x d matrix.
+    as its seed, so building an instance is O(d), and a theory-only sweep,
+    which reads the eigenvalues and the signal masses alone, never draws or
+    factors the d x d matrix.
     """
     d = config.d
     if config.spectrum_kind == "file":
@@ -320,12 +302,7 @@ def build_instance(config: SweepConfig) -> ProblemInstance:
     if not np.allclose(file_eigs[file_order], eigs, rtol=1e-9, atol=0.0):
         raise ValueError("aligned signal file does not match the spectrum")
     return ProblemInstance(
-        n=config.n,
-        d=d,
-        sigma_noise=config.sigma_noise,
-        sigma_basis=SeededRotation(d, basis_seed),
-        sigma_eigs=eigs,
-        signal_coords=np.sqrt(per_direction[file_order]),
+        config.n, config.sigma_noise, eigs, np.sqrt(per_direction[file_order]), basis_seed
     )
 
 
@@ -377,7 +354,7 @@ def conditional_risk_projected(
         )
     basis_t = inst.sigma_basis.T
     map_q = (basis_t @ S) @ pinv_a if m < n else basis_t @ (S @ pinv_a)
-    return _risk_of_map(inst, map_q, map_q @ (X @ inst.theta_star) - inst._coords)
+    return _risk_of_map(inst, map_q, map_q @ (X @ inst.theta_star) - inst.signal_coords)
 
 
 def conditional_risk_ridge(
@@ -405,7 +382,7 @@ def conditional_risk_ridge(
     basis_t = inst.sigma_basis.T
     if inst.d > n:
         map_q = basis_t @ solve_shifted(X @ X.T, n * lam, X).T
-        return _risk_of_map(inst, map_q, map_q @ (X @ inst.theta_star) - inst._coords)
+        return _risk_of_map(inst, map_q, map_q @ (X @ inst.theta_star) - inst.signal_coords)
     sol = basis_t @ solve_shifted(X.T @ X, n * lam, np.column_stack([X.T, inst.theta_star]))
     g_sigma_g, variance = _risk_of_map(inst, sol[:, :n], sol[:, n])
     return (n * lam) ** 2 * g_sigma_g, variance
@@ -423,19 +400,17 @@ def empirical_kappa_lambda(X: np.ndarray, n: int, lam: float) -> float:
     return float(1.0 / np.sum(1.0 / shifted))
 
 
-def empirical_kappa_m(sigma, S: np.ndarray) -> float:
-    """One-draw dof-matched regularization estimate 1 / tr[(S' Sigma S)^-1].
-
-    ``sigma`` is a d x d symmetric matrix, or a d-vector e standing for
-    diag(e); in Sigma's eigenbasis (Sigma = Q diag(e) Q') pass e and Q'S,
-    which needs no dense Sigma.  Callers average the reciprocal over
-    projection draws.
+def empirical_kappa_m(projected: np.ndarray) -> float:
+    """One-draw dof-matched regularization estimate 1 / tr[(S' Sigma S)^-1]
+    from the m x m projected covariance S' Sigma S, of which only the lower
+    triangle is read.  Callers average the reciprocal over projection draws.
     """
-    sigma = _eigenbasis_operand(sigma, S.shape[0], "sigma")
-    gram_eigs = np.linalg.eigvalsh(_times(S.T, sigma) @ S)
+    if not np.isfinite(projected).all():
+        raise ValueError("projected covariance contains non-finite entries")
+    gram_eigs = np.linalg.eigvalsh(projected)
     if (gram_eigs <= 1e-14 * max(gram_eigs.max(initial=0.0), 1e-300)).any():
         raise NumericalError(
-            f"projected covariance of size {S.shape[1]} is numerically singular"
+            f"projected covariance of size {gram_eigs.shape[0]} is numerically singular"
         )
     return float(1.0 / np.sum(1.0 / gram_eigs))
 
@@ -728,12 +703,14 @@ def projected_draw(
     record_kappa: bool = False,
 ) -> ReplicationResult:
     """Score x against a d x m projection drawn from ``seed``; with
-    ``record_kappa`` and m <= d, also estimate kappa from Q'S."""
+    ``record_kappa`` and m <= d, also estimate kappa from S' Sigma S, formed
+    in Sigma's eigenbasis as (Q'S)' diag(e) (Q'S)."""
     s = sample_matrix(inst.d, m, sampler, seed)
     bias, variance = conditional_risk_projected(inst, x, s)
     kappa_hat = None
     if record_kappa and m <= inst.d:
-        kappa_hat = empirical_kappa_m(inst.sigma_eigs, inst.sigma_basis.T @ s)
+        sq = inst.sigma_basis.T @ s
+        kappa_hat = empirical_kappa_m((sq.T * inst.sigma_eigs) @ sq)
     return ReplicationResult(rep_index, float(m), bias, variance, kappa_hat)
 
 

@@ -39,6 +39,8 @@ __all__ = [
     "spectrum_from_json",
 ]
 
+CLIP_TINY = 1e-12
+
 
 class Support(NamedTuple):
     """The strictly positive atoms of a spectrum, on which functionals sum."""
@@ -102,15 +104,16 @@ class Spectrum:
         return self._rank
 
     @classmethod
-    def from_eigenvalues(cls, eigenvalues, *, clip_tiny_negative: float = 1e-12) -> "Spectrum":
+    def from_eigenvalues(cls, eigenvalues) -> "Spectrum":
         """Spectrum of a concrete matrix: one unit-weight atom per eigenvalue.
 
-        Roundoff-level negative eigenvalues (relative to the largest) are
-        clipped to zero.
+        Roundoff-level eigenvalues, within CLIP_TINY of zero relative to the
+        largest, are clipped to zero.
         """
         eigs = np.asarray(eigenvalues, dtype=float).copy()
-        top = float(np.abs(eigs).max(initial=0.0))
-        tiny = clip_tiny_negative * max(top, 1.0)
+        if not np.isfinite(eigs).all():
+            raise ValueError("spectrum atoms must be finite")
+        tiny = CLIP_TINY * max(float(np.abs(eigs).max(initial=0.0)), 1.0)
         eigs[np.abs(eigs) <= tiny] = 0.0
         return cls(eigenvalues=eigs, weights=np.ones_like(eigs), d=eigs.shape[0])
 

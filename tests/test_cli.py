@@ -340,15 +340,15 @@ class TestMain:
             return original(config)
 
         formed = []
-        matrix = ddlab.empirical.SeededRotation.matrix
+        matrix = ddlab.empirical.seeded_basis
 
-        def counting_matrix(self):
-            formed.append(self)
-            return matrix(self)
+        def counting_matrix(d, seed):
+            formed.append(seed)
+            return matrix(d, seed)
 
         monkeypatch.setattr(ddlab.empirical, "build_instance", counting)
         monkeypatch.setattr(ddlab.cli, "build_instance", counting)
-        monkeypatch.setattr(ddlab.empirical.SeededRotation, "matrix", counting_matrix)
+        monkeypatch.setattr(ddlab.empirical, "seeded_basis", counting_matrix)
         code = main([
             "empirical", "--n", "12", "--d", "8", "--spectrum", "inverse_index",
             "--m-grid", "4", "--reps", "2", "--with-theory", "--out", str(tmp_path / "e.csv"),
@@ -364,7 +364,7 @@ class TestMain:
         def no_matrix(*args, **kwargs):
             raise AssertionError("d x d basis drawn or factored in a theory sweep")
 
-        monkeypatch.setattr(ddlab.empirical.SeededRotation, "matrix", no_matrix)
+        monkeypatch.setattr(ddlab.empirical, "seeded_basis", no_matrix)
         monkeypatch.setattr(np.linalg, "qr", no_matrix)
         spec = Spectrum(eigenvalues=np.array([0.5, 2.0]), weights=np.array([40.0, 20.0]), d=60)
         measures = tmp_path / "measures.json"

@@ -9,7 +9,6 @@ from ddlab.config import SweepConfig
 from ddlab.empirical import (
     ProblemInstance,
     RankDeficientDesignError,
-    SeededRotation,
     build_design,
     build_instance,
     child_seed,
@@ -20,6 +19,7 @@ from ddlab.empirical import (
     probe_trace_equivalents,
     run_replications,
     sample_matrix,
+    seeded_basis,
     seeded_instance,
 )
 from ddlab.empirical import _clamp
@@ -33,11 +33,8 @@ def small_instance(n=6, d=4, sigma_noise=0.7, seed=42, eigs=None):
     if eigs is None:
         eigs = rng.uniform(0.25, 2.0, size=d)
     theta = rng.standard_normal(d)
-    from ddlab.empirical import ProblemInstance
-
     return ProblemInstance(
-        n=n, d=d, sigma_noise=sigma_noise, sigma_basis=q,
-        sigma_eigs=np.asarray(eigs, dtype=float), theta_star=theta,
+        n=n, sigma_noise=sigma_noise, sigma_eigs=eigs, signal_coords=q.T @ theta, basis=q
     )
 
 
@@ -158,12 +155,9 @@ class TestBuildDesign:
         assert np.allclose(build_design(inst, z), z, atol=1e-12)
 
     def test_diagonal_covariance_scales_columns(self):
-        from ddlab.empirical import ProblemInstance
-
         eigs = np.array([4.0, 1.0, 0.25])
         inst = ProblemInstance(
-            n=5, d=3, sigma_noise=1.0, sigma_basis=np.eye(3),
-            sigma_eigs=eigs, theta_star=np.zeros(3),
+            n=5, sigma_noise=1.0, sigma_eigs=eigs, signal_coords=np.zeros(3), basis=np.eye(3)
         )
         z = np.random.default_rng(1).standard_normal((5, 3))
         assert np.allclose(build_design(inst, z), z * np.sqrt(eigs)[None, :])
@@ -183,14 +177,13 @@ class TestProblemInstance:
         assert inst.signal().total_mass == pytest.approx(float(theta @ theta), rel=1e-10)
 
     def test_signal_eigenvector_alignment(self):
-        from ddlab.empirical import ProblemInstance
-
         base = small_instance(d=3, seed=24)
         inst = ProblemInstance(
-            n=base.n, d=3, sigma_noise=base.sigma_noise, sigma_basis=base.sigma_basis,
-            sigma_eigs=base.sigma_eigs, theta_star=base.sigma_basis[:, 0].copy(),
+            n=base.n, sigma_noise=base.sigma_noise, sigma_eigs=base.sigma_eigs,
+            signal_coords=[1.0, 0.0, 0.0], basis=base.sigma_basis,
         )
-        assert np.allclose(inst.signal().masses, [1.0, 0.0, 0.0], atol=1e-14)
+        assert np.array_equal(inst.signal().masses, [1.0, 0.0, 0.0])
+        assert np.array_equal(inst.theta_star, base.sigma_basis[:, 0])
 
     def test_immutable(self):
         inst = small_instance(d=3, seed=25)
@@ -222,25 +215,49 @@ class TestProblemInstance:
                 with pytest.raises(ValueError, match="orthonormal"):
                     _check_orthonormal(basis)
 
-    def test_basis_takes_its_own_target_form(self):
-        # A basis matrix takes theta_star; a SeededRotation takes Q' theta_star.
-        from ddlab.empirical import ProblemInstance
-
-        common = dict(n=4, d=3, sigma_noise=1.0, sigma_eigs=np.ones(3))
-        for basis, target in ((np.eye(3), "signal_coords"), (SeededRotation(3, 1), "theta_star")):
-            with pytest.raises(ValueError, match="takes"):
-                ProblemInstance(sigma_basis=basis, **{target: np.ones(3)}, **common)
-            with pytest.raises(ValueError, match="takes"):
-                ProblemInstance(sigma_basis=basis, **common)
-
     def test_theta_dimension_mismatch(self):
-        from ddlab.empirical import ProblemInstance
-
-        with pytest.raises(ValueError, match="theta"):
+        with pytest.raises(ValueError, match="signal coordinates"):
             ProblemInstance(
-                n=4, d=3, sigma_noise=1.0, sigma_basis=np.eye(3),
-                sigma_eigs=np.ones(3), theta_star=np.ones(4),
+                n=4, sigma_noise=1.0, sigma_eigs=np.ones(3), signal_coords=np.ones(4),
+                basis=np.eye(3),
             )
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigma_eigs", [np.nan, 1.0, 1.0]),
+        ("sigma_eigs", [np.inf, 1.0, 1.0]),
+        ("signal_coords", [1.0, np.nan, 0.0]),
+        ("signal_coords", [1.0, -np.inf, 0.0]),
+        ("sigma_noise", np.inf),
+        ("sigma_noise", np.nan),
+    ])
+    def test_non_finite_input_rejected(self, field, value):
+        args = dict(n=4, sigma_noise=1.0, sigma_eigs=np.ones(3), signal_coords=np.ones(3))
+        args[field] = value
+        for basis in (np.eye(3), 7):
+            with pytest.raises(ValueError, match="finite"):
+                ProblemInstance(**args, basis=basis)
+
+    def test_basis_matrix_or_seed(self):
+        # A seed and the matrix it seeds give the same instance, bit for bit.
+        eigs = np.linspace(2.0, 0.5, 16)
+        coords = np.random.default_rng(3).standard_normal(16)
+        seeded, given = (
+            ProblemInstance(n=8, sigma_noise=0.5, sigma_eigs=eigs, signal_coords=coords, basis=b)
+            for b in (11, seeded_basis(16, 11))
+        )
+        assert np.array_equal(seeded.sigma_basis, given.sigma_basis)
+        assert np.array_equal(seeded.theta_star, given.theta_star)
+        assert np.array_equal(seeded.sqrt_covariance(), given.sqrt_covariance())
+
+    def test_signal_coords_read_only(self):
+        coords = np.ones(3)
+        inst = ProblemInstance(
+            n=4, sigma_noise=1.0, sigma_eigs=np.ones(3), signal_coords=coords, basis=5
+        )
+        with pytest.raises(ValueError, match="read-only"):
+            inst.signal_coords[0] = 2.0
+        coords[0] = 2.0
+        assert np.array_equal(inst.signal_coords, np.ones(3))
 
 
 def old_seeded_basis(d, seed):
@@ -254,7 +271,7 @@ def old_seeded_basis(d, seed):
 class TestSeededRotation:
     @pytest.mark.parametrize("d", [1, 2, 7, 64, 300])
     def test_matrix_matches_old_kernel(self, d):
-        assert np.array_equal(SeededRotation(d, 5).matrix(), old_seeded_basis(d, 5))
+        assert np.array_equal(seeded_basis(d, 5), old_seeded_basis(d, 5))
 
     @pytest.mark.parametrize("d", [1, 2, 7, 64, 300])
     def test_seeded_instance_matches_old_kernel(self, d):
@@ -275,10 +292,10 @@ class TestSeededRotation:
         import ddlab.empirical as emp
         from ddlab.spectrum import SignalMeasure, Spectrum, spectrum_to_json
 
-        matrix = emp.SeededRotation.matrix
+        matrix = emp.seeded_basis
 
-        def corrupted(self):
-            q = matrix(self)
+        def corrupted(d, seed):
+            q = matrix(d, seed)
             q[:, 0] *= 0.5
             return q
 
@@ -290,7 +307,7 @@ class TestSeededRotation:
             signal_kind=signal_kind, m_grid=[3], mode="theory",
         )
         build_instance(cfg).sigma_basis
-        monkeypatch.setattr(emp.SeededRotation, "matrix", corrupted)
+        monkeypatch.setattr(emp, "seeded_basis", corrupted)
         for name in ("sigma_basis", "theta_star"):
             inst = build_instance(cfg)
             with pytest.raises(ValueError, match="orthonormal"):
@@ -303,26 +320,28 @@ class TestSeededRotation:
         import ddlab.empirical as emp
 
         calls = []
-        matrix = emp.SeededRotation.matrix
+        matrix = emp.seeded_basis
 
-        def counting(self):
+        def counting(d, seed):
             calls.append(1)
-            return matrix(self)
+            return matrix(d, seed)
 
-        monkeypatch.setattr(emp.SeededRotation, "matrix", counting)
+        monkeypatch.setattr(emp, "seeded_basis", counting)
         inst = seeded_instance(10, 1.0, np.linspace(2.0, 0.5, 64), 3, 4)
-        seen, thetas = [], []
+        seen, thetas, roots = [], [], []
         barrier = threading.Barrier(8)
 
         def reach(k):
             barrier.wait(timeout=30)
-            # Half the threads reach the basis first, half the target.
-            if k % 2:
-                thetas.append(inst.theta_star)
-                seen.append(inst.sigma_basis)
-            else:
-                seen.append(inst.sigma_basis)
-                thetas.append(inst.theta_star)
+            # The threads reach the basis, the target and Sigma^(1/2) in
+            # three different orders.
+            reads = [
+                lambda: seen.append(inst.sigma_basis),
+                lambda: thetas.append(inst.theta_star),
+                lambda: roots.append(inst.sqrt_covariance()),
+            ]
+            for read in reads[k % 3:] + reads[:k % 3]:
+                read()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -338,8 +357,9 @@ class TestSeededRotation:
         assert len(calls) == 1
         assert len(seen) == 8 and all(b is seen[0] for b in seen)
         assert len(thetas) == 8 and all(t is thetas[0] for t in thetas)
+        assert len(roots) == 8 and all(r is roots[0] for r in roots)
         assert np.array_equal(seen[0], old_seeded_basis(64, 3))
-        assert np.array_equal(thetas[0], seen[0] @ inst._coords)
+        assert np.array_equal(thetas[0], seen[0] @ inst.signal_coords)
 
 
 class TestInstanceFromFiles:
@@ -434,8 +454,8 @@ class TestConditionalProjected:
     def test_zero_signal_zero_bias(self):
         base = small_instance(n=12, d=6, seed=13)
         inst = ProblemInstance(
-            n=12, d=6, sigma_noise=base.sigma_noise, sigma_basis=base.sigma_basis,
-            sigma_eigs=base.sigma_eigs, theta_star=np.zeros(6),
+            n=12, sigma_noise=base.sigma_noise, sigma_eigs=base.sigma_eigs,
+            signal_coords=np.zeros(6), basis=base.sigma_basis,
         )
         z = sample_matrix(12, 6, "gaussian", 14)
         x = build_design(inst, z)
@@ -600,12 +620,12 @@ class TestEmpiricalKappa:
 
     def test_kappa_m_orthonormal_identity(self):
         s = np.eye(50)[:, :10]
-        assert empirical_kappa_m(np.eye(50), s) == pytest.approx(1.0 / 10)
+        assert empirical_kappa_m(s.T @ np.eye(50) @ s) == pytest.approx(1.0 / 10)
 
     def test_kappa_m_concentrates_on_dof_solver(self):
         sigma = np.eye(2000) * 0.5
         s = sample_matrix(2000, 200, "rademacher", 83)
-        kap = empirical_kappa_m(sigma, s)
+        kap = empirical_kappa_m(s.T @ sigma @ s)
         target = kappa_at_dof(make_isotropic(2000, 0.5), 200.0).kappa
         assert kap == pytest.approx(target, rel=0.05)
 
@@ -614,7 +634,7 @@ class TestEmpiricalKappa:
         draws = []
         for rep in range(2000):
             s = sample_matrix(100, 1, "gaussian", child_seed(9, rep))
-            draws.append(1.0 / empirical_kappa_m(sigma, s))
+            draws.append(1.0 / empirical_kappa_m(s.T @ sigma @ s))
         kap_hat = 1.0 / np.mean(draws)
         target = kappa_at_dof(make_isotropic(100, 2.0), 1.0).kappa
         assert kap_hat == pytest.approx(target, rel=0.05)
@@ -885,7 +905,9 @@ class TestRunReplications:
             s = sample_matrix(
                 inst.d, int(res.m), cfg.sampler, child_seed(cfg.master_seed, gi, r, 1)
             )
-            assert res.kappa_hat == pytest.approx(empirical_kappa_m(sigma, s), rel=1e-10, abs=0.0)
+            assert res.kappa_hat == pytest.approx(
+                empirical_kappa_m(s.T @ sigma @ s), rel=1e-10, abs=0.0
+            )
 
     def test_clamp_rules(self):
         assert _clamp(1.0) == (1.0, False, False)

@@ -45,8 +45,7 @@ def random_tiny_instance(seed, max_dim=8):
     theta = rng.standard_normal(d)
     sigma_noise = float(rng.uniform(0.3, 1.5))
     inst = ProblemInstance(
-        n=n, d=d, sigma_noise=sigma_noise, sigma_basis=q,
-        sigma_eigs=eigs, theta_star=theta,
+        n=n, sigma_noise=sigma_noise, sigma_eigs=eigs, signal_coords=q.T @ theta, basis=q
     )
     return inst, rng
 
@@ -132,9 +131,8 @@ def test_surjective_projection_collapses_to_ols(seed):
     m = int(rng.integers(d, d + 5))
     q = np.linalg.qr(rng.standard_normal((d, d)))[0]
     inst = ProblemInstance(
-        n=n, d=d, sigma_noise=1.0, sigma_basis=q,
-        sigma_eigs=rng.uniform(0.3, 2.0, size=d),
-        theta_star=rng.standard_normal(d),
+        n=n, sigma_noise=1.0, sigma_eigs=rng.uniform(0.3, 2.0, size=d),
+        signal_coords=q.T @ rng.standard_normal(d), basis=q,
     )
     z = sample_matrix(n, d, "gaussian", 6000 + seed)
     x = build_design(inst, z)

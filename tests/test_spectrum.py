@@ -37,6 +37,12 @@ class TestConstruction:
         assert (s.eigenvalues >= 0).all()
         assert s.rank == 1  # only the strictly positive atom counts
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_from_eigenvalues_rejects_non_finite(self, bad):
+        # An infinite top eigenvalue must not scale the clip up to every atom.
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum.from_eigenvalues(np.array([bad, 1.0, 2.0]))
+
     def test_immutability(self):
         with pytest.raises(ValueError):
             TWO_DIRAC.eigenvalues[0] = 9.0

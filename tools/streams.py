@@ -5,13 +5,15 @@
 
 ``run`` executes a fixed list of ddlab commands, each in a fresh process and
 in its own subdirectory of <dir>, with relative output paths: the figure
-presets fig2 to fig5, theory on an m grid and on a lambda grid, two
+presets fig2 to fig5, theory on an m grid and on a lambda grid, three
 empirical runs with their replication streams (an m grid with
-``--record-kappa``, and a lambda grid), probe-traces, kappa and two usage
-errors.  Each command's exit code, stdout and stderr go to ``console.txt``
-beside its outputs.  ``--src`` picks the ddlab source tree to run (default:
-the ``src`` of this checkout), so one copy of this script can write the
-streams of another commit.
+``--record-kappa``, a lambda grid, and an m grid on a file spectrum with
+its aligned signal), probe-traces, kappa and two usage errors.  A command's
+input files are written into its subdirectory first.  Each command's exit
+code, stdout and stderr go to ``console.txt`` beside its outputs.
+``--src`` picks the ddlab source tree to run (default: the ``src`` of this
+checkout), so one copy of this script can write the streams of another
+commit.
 
 ``diff`` prints a Markdown table of the largest relative move,
 |a - b| / max(|a|, |b|), per column of every CSV, per key path of every
@@ -53,6 +55,10 @@ COMMANDS = [
     ("theory_lambda", ["theory", *_SWEEP, *_LAMBDA_GRID, "--out", "theory.csv"]),
     ("empirical_m", [*_EMPIRICAL, *_M_GRID, "--record-kappa", "--out", "sweep.csv"]),
     ("empirical_lambda", [*_EMPIRICAL, *_LAMBDA_GRID, "--out", "sweep.csv"]),
+    ("aligned_file", [
+        "empirical", "--config", "config.json", "--reps", "8", "--with-theory",
+        "--per-rep-out", "reps.csv", *_M_GRID, "--out", "sweep.csv",
+    ]),
     ("probe_traces", [
         "probe-traces", "--n", "1000", "--d", "2000", "--spectrum", "two_dirac:0.5,1,4",
         "--lambdas", "0.1,1", "--out", "probes.csv",
@@ -62,12 +68,29 @@ COMMANDS = [
     ("usage_bad_grid", ["theory", "--n", "10", "--d", "20", "--m-grid", "5,1.5"]),
 ]
 
+# Input files a command reads, by directory: a three-atom file spectrum
+# (0.5, 1 and 4 over 200, 120 and 80 directions) with its signal masses.
+INPUTS = {
+    "aligned_file": {
+        "measures.json": json.dumps(
+            {"d": 400, "atoms": [[0.5, 200], [1.0, 120], [4.0, 80]], "signal": [0.3, 0.5, 0.2]}
+        ),
+        "config.json": json.dumps({
+            "n": 200, "d": 400, "mode": "empirical",
+            "spectrum": {"kind": "file", "path": "measures.json"},
+            "signal": {"kind": "aligned_file"},
+        }),
+    },
+}
+
 
 def run(out: Path, src: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     for name, argv in COMMANDS:
         workdir = out / name
         workdir.mkdir(parents=True, exist_ok=True)
+        for filename, text in INPUTS.get(name, {}).items():
+            (workdir / filename).write_text(text, encoding="utf-8")
         proc = subprocess.run(
             [sys.executable, "-m", "ddlab.cli", *argv],
             cwd=workdir, env=env, capture_output=True, text=True,
