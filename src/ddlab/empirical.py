@@ -677,13 +677,17 @@ def summarize_point(
 
 def map_draws(task, keys) -> list:
     """[task(key) for key in keys] on up to DDLAB_THREADS worker threads
-    (default 1), in key order.  Every Monte Carlo draw runs through here."""
+    (default 1, never more than there are keys), in key order.  Every Monte
+    Carlo draw runs through here."""
     raw = os.environ.get(THREADS_ENV_VAR, "1")
     try:
-        workers = max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if workers == 1:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}")
+    workers = min(workers, len(keys))
+    if workers <= 1:
         return list(map(task, keys))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task, keys))

@@ -454,6 +454,14 @@ class TestMain:
         assert main(["reproduce", "fig3", "--out", str(tmp_path / "f3")]) == 2
         assert capsys.readouterr().err.startswith("numeric failure: Singular matrix")
 
+    def test_threads_below_one_exit_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DDLAB_THREADS", "-4")
+        assert main([
+            "empirical", "--n", "10", "--d", "20", "--m-grid", "5,15", "--reps", "2",
+            "--out", str(tmp_path / "e.csv"),
+        ]) == 1
+        assert "DDLAB_THREADS" in capsys.readouterr().err
+
     def test_unreadable_config_exit_one(self, tmp_path, capsys):
         missing = tmp_path / "none.json"
         assert main(["theory", "--config", str(missing), "--out", str(tmp_path / "o.csv")]) == 1

@@ -16,6 +16,7 @@ from ddlab.empirical import (
     conditional_risk_ridge,
     empirical_kappa_lambda,
     empirical_kappa_m,
+    map_draws,
     probe_trace_equivalents,
     run_replications,
     sample_matrix,
@@ -836,6 +837,39 @@ def test_one_shifted_solve_per_draw(monkeypatch):
             assert calls == {"solve_shifted": len(lams), "eigh": 0}
             # Every solve is on the smaller Gram matrix, with a square right-hand side.
             assert shapes == [((side, side), (side, side))] * len(lams), probe_x.shape
+
+
+class TestMapDraws:
+    @pytest.mark.parametrize("raw", ["0", "-1", "abc"])
+    def test_threads_below_one_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("DDLAB_THREADS", raw)
+        with pytest.raises(ValueError, match="DDLAB_THREADS"):
+            map_draws(abs, [-1, 2])
+
+    @pytest.mark.parametrize("raw, keys, pool", [("64", 3, 3), ("2", 5, 2), ("64", 1, None)])
+    def test_pool_never_larger_than_the_keys(self, monkeypatch, raw, keys, pool):
+        import ddlab.empirical as emp
+
+        sizes = []
+
+        class SerialPool:
+            # Records the pool size and maps in the calling thread.
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, task, keys):
+                return map(task, keys)
+
+        monkeypatch.setattr(emp, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setenv("DDLAB_THREADS", raw)
+        assert map_draws(lambda k: -k, range(keys)) == [-k for k in range(keys)]
+        assert sizes == ([] if pool is None else [pool])
 
 
 class TestRunReplications:

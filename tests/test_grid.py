@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddlab.selfconsistent import kappa_at_dof, kappa_of_lambda
-from ddlab.spectrum import SignalMeasure, Spectrum, df1, df2, make_inverse_index, signal_functional
+from ddlab.spectrum import (
+    SignalMeasure, Spectrum, df1, df2, make_inverse_index, make_power_law, signal_functional,
+)
 from ddlab.theory import ridge_risk, rp_risk
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -41,9 +43,10 @@ def _ref_df1(s, k):
 
 
 def _ref_kappa_at_dof(s, target):
+    """(kappa, bisection steps) of the one-point solve."""
     lo, hi = 0.0, s.trace / target
     bracket_hi = hi
-    for _ in range(200):
+    for steps in range(1, 201):
         mid = 0.5 * (lo + hi)
         if _ref_df1(s, mid) > target:
             lo = mid
@@ -62,10 +65,11 @@ def _ref_kappa_at_dof(s, target):
         if not 0.0 < cand < bracket_hi or cand == kappa:
             break
         kappa = cand
-    return kappa
+    return kappa, steps
 
 
 def _ref_kappa_of_lambda(s, n, lam):
+    """(kappa, nudge and bisection steps) of the one-point solve at lam > 0."""
     def defect(k):
         return k * (1.0 - _ref_df1(s, k) / n) - lam
 
@@ -73,7 +77,7 @@ def _ref_kappa_of_lambda(s, n, lam):
     while defect(hi) < 0.0 and it < 64:
         hi *= 1.0 + 1e-12
         it += 1
-    for _ in range(200):
+    for steps in range(1, 201):
         mid = 0.5 * (lo + hi)
         if defect(mid) < 0.0:
             lo = mid
@@ -81,7 +85,7 @@ def _ref_kappa_of_lambda(s, n, lam):
             hi = mid
         if hi - lo <= 1e-13 * hi:
             break
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), it + steps
 
 
 def _same(grid, points):
@@ -115,7 +119,39 @@ def test_kappa_of_lambda_grid_equals_scalar(pair, n, lams):
     assert grid.iterations == sum(p.iterations for p in points)
     for lam, p in zip(lams, points):
         if lam > 0:
-            assert p.kappa == _ref_kappa_of_lambda(s, n, lam)
+            assert (p.kappa, p.iterations) == _ref_kappa_of_lambda(s, n, lam)
+
+
+def _check_against_references(s, n, lams, targets):
+    """Both solvers on whole grids give the reference bits and step counts."""
+    sol = kappa_of_lambda(s, n, lams)
+    ref = [_ref_kappa_of_lambda(s, n, lam) for lam in lams]
+    _same(sol.kappa, [k for k, _ in ref])
+    assert sol.iterations == sum(steps for _, steps in ref)
+    sol = kappa_at_dof(s, targets)
+    ref = [_ref_kappa_at_dof(s, t) for t in targets]
+    _same(sol.kappa, [k for k, _ in ref])
+    assert sol.iterations == sum(steps for _, steps in ref)
+
+
+def test_solvers_at_benchmark_scale_equal_references():
+    # The theory_grid benchmark's sweeps: the 199 m points below n and the
+    # 400 lambda points, on the 1/k spectrum at d = 4000, n = 2000.
+    s = make_inverse_index(4000)
+    _check_against_references(
+        s, 2000, np.geomspace(1e-6, 1.0, 400), np.arange(10.0, 2000.0, 10.0))
+
+
+@pytest.mark.parametrize("s", [
+    make_power_law(2000, 3.0),
+    Spectrum(eigenvalues=np.r_[1.0 / np.arange(1, 1501), 0.0],
+             weights=np.r_[np.ones(1500), 500.0], d=2000),
+], ids=["power_law_3", "zero_atoms"])
+def test_solvers_over_wide_ranges_equal_references(s):
+    lams = np.geomspace(1e-10, 1e2, 41)
+    targets = np.linspace(0.001, 0.999, 41) * s.rank
+    for n in (500, int(s.rank), 3000):
+        _check_against_references(s, n, lams, targets)
 
 
 @SETTINGS
@@ -128,10 +164,12 @@ def test_kappa_at_dof_grid_equals_scalar(pair, fractions):
     grid = kappa_at_dof(s, targets)
     points = [kappa_at_dof(s, t) for t in targets]
     _same(grid.kappa, [p.kappa for p in points])
-    _same(grid.kappa, [_ref_kappa_at_dof(s, t) for t in targets])
+    ref = [_ref_kappa_at_dof(s, t) for t in targets]
+    _same(grid.kappa, [k for k, _ in ref])
     _same(grid.residual, [p.residual for p in points])
     assert type(grid.iterations) is int
     assert grid.iterations == sum(p.iterations for p in points)
+    assert grid.iterations == sum(steps for _, steps in ref)
 
 
 def _rows(breakdowns):

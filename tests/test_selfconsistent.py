@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ddlab import selfconsistent
 from ddlab.selfconsistent import (
     REGIME_CRITICAL,
     REGIME_OVER,
@@ -10,7 +11,10 @@ from ddlab.selfconsistent import (
     kappa_of_lambda,
     kappa_two_dirac_closed,
 )
-from ddlab.spectrum import Spectrum, df1, make_isotropic, make_two_dirac
+from ddlab.spectrum import (
+    SignalMeasure, Spectrum, df1, make_inverse_index, make_isotropic, make_two_dirac,
+)
+from ddlab.theory import ridge_risk
 
 
 def bisect_df1_oracle(s, target, iters=120):
@@ -86,6 +90,15 @@ class TestKappaOfLambda:
             kappa_of_lambda(s, 4, -0.5)
         with pytest.raises(ValueError):
             kappa_of_lambda(s, 0, 0.5)
+
+    def test_rejects_infinite_lambda(self):
+        s = make_inverse_index(50)
+        v = SignalMeasure(masses=np.full(50, 0.02))
+        for lam in (np.inf, [0.1, np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                kappa_of_lambda(s, 20, lam)
+            with pytest.raises(ValueError, match="finite"):
+                ridge_risk(s, v, 20, 1.0, lam)
 
     def test_underparam_refined_bracket(self):
         # kappa(lambda) <= lambda / (1 - d/n) below the threshold.
@@ -202,3 +215,73 @@ class TestClosedForms:
             kappa_two_dirac_closed(0.6, 0.6, 1.0, 4.0, 2.0, 0.5)
         with pytest.raises(ValueError):
             kappa_two_dirac_closed(0.5, 0.5, 1.0, 4.0, 0.5, 0.9)  # delta > gamma
+
+
+class TestCertifiedBracket:
+    """Newton steps certify a bracket; the bisection calls df1 only inside it."""
+
+    S = make_inverse_index(4000)
+    N = 2000
+    TARGETS = np.arange(10.0, 2000.0, 10.0)
+    LAMS = np.geomspace(1e-6, 1.0, 400)
+
+    def solve(self):
+        return kappa_at_dof(self.S, self.TARGETS), kappa_of_lambda(self.S, self.N, self.LAMS)
+
+    @staticmethod
+    def without_newton(monkeypatch):
+        """Every Newton step NaN, as from a NaN derivative."""
+        bracket = selfconsistent._certified_bracket
+
+        def nan_steps(x, v, side, value, holds, newton):
+            return bracket(x, v, side, value, holds, lambda k, *_: np.full(k.shape, np.nan))
+
+        monkeypatch.setattr(selfconsistent, "_certified_bracket", nan_steps)
+
+    @staticmethod
+    def count_rows(monkeypatch):
+        """Table rows (points with kappa > 0) evaluated by df1 and the slopes."""
+        rows = [0]
+        for name in ("df1", "df2", "support_sums"):
+            def counted(s, kappa, *args, _f=getattr(selfconsistent, name)):
+                rows[0] += int(np.count_nonzero(kappa))
+                return _f(s, kappa, *args)
+
+            monkeypatch.setattr(selfconsistent, name, counted)
+        return rows
+
+    def assert_same(self, got, want):
+        for a, b in zip(got, want):
+            assert np.array_equal(a.kappa, b.kappa)
+            assert np.array_equal(a.residual, b.residual)
+            assert np.array_equal(a.diverged, b.diverged)
+            assert a.iterations == b.iterations
+
+    def test_nan_newton_steps_fall_back_to_full_bisection(self, monkeypatch):
+        certified = self.solve()
+        self.without_newton(monkeypatch)
+        self.assert_same(self.solve(), certified)
+
+    def test_newton_cap_zero_gives_same_bits(self, monkeypatch):
+        certified = self.solve()
+        monkeypatch.setattr(selfconsistent, "_NEWTON_CAP", 0)
+        self.assert_same(self.solve(), certified)
+
+    def test_at_most_half_the_rows_of_a_full_bisection(self, monkeypatch):
+        rows = self.count_rows(monkeypatch)
+        kappa_at_dof(self.S, self.TARGETS)
+        dof = rows[0]
+        kappa_of_lambda(self.S, self.N, self.LAMS)
+        lam = rows[0] - dof
+        self.without_newton(monkeypatch)
+        rows[0] = 0
+        kappa_at_dof(self.S, self.TARGETS)
+        full_dof = rows[0]
+        kappa_of_lambda(self.S, self.N, self.LAMS)
+        full_lam = rows[0] - full_dof
+        # Every bisection step, the roundoff nudges of hi, the Newton polish
+        # and the residuals: 9,725 df1 rows and 471 slope rows for the m
+        # grid, 17,352 df1 rows for the lambda grid.
+        assert (full_dof, full_lam) == (10196, 17352)
+        assert 2 * dof <= full_dof
+        assert 2 * lam <= full_lam
