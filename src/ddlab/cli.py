@@ -316,10 +316,12 @@ def run_fig2(
 ):
     """Convergence study: per-n curve tables plus gap summaries.
 
-    Each realization draws a fresh eigenbasis, target and design; the
-    projection is redrawn per grid point.  Realizations run through the
-    sweeps' draw map and each (realization, grid point) draw through their
-    failure rule, so every grid point is summarized by ``summarize_point``.
+    Each realization draws a fresh eigenbasis, target and unit draw Z; the
+    projection is redrawn per grid point.  The design X = Z Sigma^(1/2) is
+    formed once per realization, when some m >= n, and those draws score
+    through it.  Realizations run through the sweeps' draw map and each
+    (realization, grid point) draw through their failure rule, so every
+    grid point is summarized by ``summarize_point``.
     Gap summaries report both the mean over retained draws of
     |replication - theory| and the gap of the replication mean, per curve.
     """
@@ -333,9 +335,10 @@ def run_fig2(
         def realization(r: int):
             seed = functools.partial(child_seed, master_seed, n, r)
             inst = seeded_instance(n, 1.0, eigs, seed(2), seed(3))
-            x = build_design(inst, sample_matrix(n, inst.d, sampler, seed(0)))
+            z = sample_matrix(n, inst.d, sampler, seed(0))
+            x = build_design(inst, z) if any(m >= n for m in ms) else None
             return [
-                guarded_draw(projected_draw, inst, x, r, m, sampler, seed(1, j))
+                guarded_draw(projected_draw, inst, z, r, m, sampler, seed(1, j), x=x)
                 for j, m in enumerate(ms)
             ]
 

@@ -2,11 +2,14 @@
 
 The Monte Carlo side of the library.  A ProblemInstance fixes one concrete
 prediction problem (covariance eigenstructure, target coefficients, noise
-level); replications then draw design and projection matrices and evaluate
-the excess risk conditionally on them, exactly in the noise (the noise
-expectation is carried out in closed form, never sampled).  All sampling is
-seed-pure: samplers take explicit seeds and no global RNG state is touched,
-so replications can run concurrently and merge deterministically.
+level); replications then draw a unit-variance matrix Z, whose design is
+X = Z Sigma^(1/2), and a projection, and evaluate the excess risk
+conditionally on them, exactly in the noise (the noise expectation is
+carried out in closed form, never sampled).  Both conditional risks are
+scored in Sigma^(1/2) coordinates, so a draw reads Sigma^(1/2) and never
+the eigenbasis.  All sampling is seed-pure: samplers take explicit seeds and
+no global RNG state is touched, so replications can run concurrently and
+merge deterministically.
 """
 
 from __future__ import annotations
@@ -100,10 +103,16 @@ def sample_matrix(rows: int, cols: int, sampler: str, seed: int) -> np.ndarray:
     if sampler == "gaussian":
         return rng.standard_normal((rows, cols))
     if sampler == "rademacher":
-        # numpy draws a range of two with 32-bit Lemire steps for either
-        # integer width, so int32 gives the int64 stream's bits; the signs
-        # are formed in one float buffer.
-        signs = np.multiply(rng.integers(0, 2, size=(rows, cols), dtype=np.int32), 2.0)
+        # numpy draws a range of two with one 32-bit Lemire step per entry,
+        # which keeps the top bit of each 32-bit half of the raw 64-bit
+        # output, low half first; reading those bits directly gives the same
+        # signs as rng.integers(0, 2), formed in one float buffer.
+        size = rows * cols
+        raw = rng.bit_generator.random_raw((size + 1) // 2)
+        halves = raw.astype("<u8", copy=False).view("<i4")[:size].reshape(rows, cols)
+        signs = np.empty((rows, cols))
+        np.less(halves, 0, out=signs)
+        signs *= 2.0
         signs -= 1.0
         return signs
     raise ValueError(f"unknown sampler {sampler!r}")
@@ -126,8 +135,9 @@ class ProblemInstance:
     orthonormal matrix, checked here, or an integer seed of
     ``seeded_basis(d, seed)``, drawn and checked on first use.  The
     eigenvalues and u serve the signal measure and the signal strength, so
-    a theory-only sweep never forms Q.  (Q, theta_star) and Sigma^(1/2) are
-    each formed once, on first use.  Instances are immutable.
+    a theory-only sweep never forms Q.  (Q, theta_star), Sigma^(1/2) and
+    Sigma^(1/2) theta_star are each formed once, on first use.  Instances
+    are immutable.
     """
 
     def __init__(self, n: int, sigma_noise: float, sigma_eigs, signal_coords, basis):
@@ -149,7 +159,8 @@ class ProblemInstance:
         eigs.flags.writeable = coords.flags.writeable = False
         self.__dict__.update(
             n=n, d=d, sigma_noise=sigma_noise, sigma_eigs=eigs, signal_coords=coords,
-            _basis=basis, _formed=None, _sqrt_cov=None, _lock=threading.RLock(),
+            _basis=basis, _formed=None, _sqrt_cov=None, _root_signal=None,
+            _lock=threading.RLock(),
         )
 
     def __setattr__(self, name, value):
@@ -199,6 +210,16 @@ class ProblemInstance:
         """Sigma^(1/2) = Q diag(e^(1/2)) Q', formed on first use; read-only."""
         return self._once("_sqrt_cov", self._form_sqrt_cov)
 
+    def _form_root_signal(self) -> np.ndarray:
+        root = self.sqrt_covariance() @ self.theta_star
+        root.flags.writeable = False
+        return root
+
+    def root_signal(self) -> np.ndarray:
+        """Sigma^(1/2) theta_star, the target in the coordinates the
+        conditional risks are scored in; formed on first use, read-only."""
+        return self._once("_root_signal", self._form_root_signal)
+
     # -- measure views ------------------------------------------------------
 
     def spectrum(self) -> Spectrum:
@@ -225,13 +246,19 @@ def _check_orthonormal(basis: np.ndarray) -> None:
         raise ValueError("basis columns are not orthonormal")
 
 
-def build_design(inst: ProblemInstance, z: np.ndarray) -> np.ndarray:
-    """Design matrix X = Z Sigma^(1/2) for a unit-variance draw Z; every
-    Monte Carlo draw forms its design here."""
+def _unit_draw(inst: ProblemInstance, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[1] != inst.d:
         raise ValueError(f"z has shape {z.shape}, expected (*, {inst.d})")
-    return z @ inst.sqrt_covariance()
+    return z
+
+
+def build_design(inst: ProblemInstance, z: np.ndarray) -> np.ndarray:
+    """Design matrix X = Z Sigma^(1/2) for a unit-variance draw Z.  Every
+    Monte Carlo design is formed here: the ridge draws' and the projected
+    draws' above m = 2n (conditional_risk_projected scores smaller
+    projections from Z alone)."""
+    return _unit_draw(inst, z) @ inst.sqrt_covariance()
 
 
 # ---------------------------------------------------------------------------
@@ -310,26 +337,23 @@ def build_instance(config: SweepConfig) -> ProblemInstance:
 # Exact conditional risks
 # ---------------------------------------------------------------------------
 
-def _risk_of_map(
-    inst: ProblemInstance, map_q: np.ndarray, resid_q: np.ndarray
+def _scored(
+    inst: ProblemInstance, map_root: np.ndarray, resid_root: np.ndarray
 ) -> tuple[float, float]:
-    """(resid' Sigma resid, sigma^2 <P, Sigma P>) of an estimator theta_hat = P y,
-    from Q'P and Q'resid in Sigma's eigenbasis (Sigma = Q diag(e) Q').
-
+    """(||r||^2, sigma^2 ||M||_F^2) for an estimator theta_hat = P y given in
+    Sigma^(1/2) coordinates, M = Sigma^(1/2) P and r = Sigma^(1/2) resid.
     With resid the noiseless error P X theta - theta these are the
-    noise-exact bias and variance: ||e^(1/2) Q'resid||^2 and
-    sigma^2 ||e^(1/2) Q'P||_F^2.
+    noise-exact bias resid' Sigma resid and variance sigma^2 tr[P' Sigma P].
     """
-    root = np.sqrt(inst.sigma_eigs)
-    resid = root * resid_q
-    scaled = root[:, None] * map_q
-    return float(resid @ resid), inst.sigma_noise**2 * float(np.vdot(scaled, scaled))
+    return float(resid_root @ resid_root), inst.sigma_noise**2 * float(np.vdot(map_root, map_root))
 
 
 def conditional_risk_projected(
-    inst: ProblemInstance, X: np.ndarray, S: np.ndarray
+    inst: ProblemInstance, z: np.ndarray, S: np.ndarray, *,
+    x: np.ndarray | None = None, c: np.ndarray | None = None,
 ) -> tuple[float, float]:
-    """Noise-exact (bias, variance) of min-norm least squares on A = X @ S.
+    """Noise-exact (bias, variance) of min-norm least squares on A = X S,
+    for the design X = Z Sigma^(1/2) of the unit-variance draw ``z``.
 
     With P = S pinv(A), the fitted coefficients are P y, so conditionally
     on (X, S) the variance is sigma^2 tr[P' Sigma P] and the bias is the
@@ -337,24 +361,43 @@ def conditional_risk_projected(
     RankDeficientDesignError when A falls below its generic rank
     min(n, m, d) at pseudo_inverse's default tolerance.
 
-    The map is scored in Sigma's eigenbasis (Sigma = Q diag(e) Q'): with
-    M = e^(1/2) Q'S pinv(A), the variance is sigma^2 ||M||_F^2 and the bias
-    ||M X theta - e^(1/2) Q'theta||^2, the residual formed as a vector
-    before it is squared.  Q'S pinv(A) is grouped as (Q'S) pinv(A) when
-    m < n and as Q'(S pinv(A)) otherwise, so one d x d x min(m, n) product
-    rotates it and no covariance action is needed.
+    The map is scored in Sigma^(1/2) coordinates.  With C = Sigma^(1/2) S
+    and phi = Sigma^(1/2) theta (cached on the instance), X theta = Z phi,
+    Sigma^(1/2) P = C pinv(A), the variance is sigma^2 ||C pinv(A)||_F^2
+    and the bias ||C pinv(A) Z phi - phi||^2, the residual formed as a
+    vector before it is squared.  C costs d^2 m, against n d^2 to form X
+    and d^2 n to map S pinv(A) by Sigma^(1/2).  So up to m = 2n, A = Z C and
+    X is never formed; above it, X = build_design(inst, z), A = X S and the
+    map is Sigma^(1/2) (S pinv(A)).  A design ``x`` the caller formed from
+    ``z`` is used from m = n on; ``c``, when given, is C, which the C route
+    then reuses.
     """
-    n, m = X.shape[0], S.shape[1]
-    A = X @ S
+    z = _unit_draw(inst, z)
+    n, m = z.shape[0], S.shape[1]
+    root = inst.sqrt_covariance()
+    via_c = m < n if x is not None else m <= 2 * n
+    if via_c:
+        if c is None:
+            c = root @ S
+        A = z @ c
+    else:
+        if x is None:
+            x = build_design(inst, z)
+        A = x @ S
     pinv_a, rank = pseudo_inverse(A)
     expected = min(n, m, inst.d)
     if rank < expected:
         raise RankDeficientDesignError(
             f"projected design has numerical rank {rank} < {expected} (n={n}, m={m}, d={inst.d})"
         )
-    basis_t = inst.sigma_basis.T
-    map_q = (basis_t @ S) @ pinv_a if m < n else basis_t @ (S @ pinv_a)
-    return _risk_of_map(inst, map_q, map_q @ (X @ inst.theta_star) - inst.signal_coords)
+    phi = inst.root_signal()
+    w = pinv_a @ (z @ phi)
+    if via_c:
+        map_root, resid = c @ pinv_a, c @ w
+    else:
+        map_root, resid = root @ (S @ pinv_a), root @ (S @ w)
+    resid -= phi
+    return _scored(inst, map_root, resid)
 
 
 def conditional_risk_ridge(
@@ -368,7 +411,8 @@ def conditional_risk_ridge(
     comes from the residual P X theta - theta.  When d <= n the same solve
     also yields g = (X'X + n lam I)^-1 theta, and the residual is -n lam g,
     which does not cancel at small lam and gives an exact zero bias at
-    lam = 0.
+    lam = 0.  Both are scored in Sigma^(1/2) coordinates, through one
+    d x d x n product with Sigma^(1/2).
 
     Limitation: at d = n and lam = 0 the X'X solve squares the condition
     number of the square design, so the variance is good only to about
@@ -379,12 +423,14 @@ def conditional_risk_ridge(
     if not lam >= 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     n = X.shape[0]
-    basis_t = inst.sigma_basis.T
+    root = inst.sqrt_covariance()
     if inst.d > n:
-        map_q = basis_t @ solve_shifted(X @ X.T, n * lam, X).T
-        return _risk_of_map(inst, map_q, map_q @ (X @ inst.theta_star) - inst.signal_coords)
-    sol = basis_t @ solve_shifted(X.T @ X, n * lam, np.column_stack([X.T, inst.theta_star]))
-    g_sigma_g, variance = _risk_of_map(inst, sol[:, :n], sol[:, n])
+        map_root = root @ solve_shifted(X @ X.T, n * lam, X).T
+        resid = map_root @ (X @ inst.theta_star)
+        resid -= inst.root_signal()
+        return _scored(inst, map_root, resid)
+    sol = root @ solve_shifted(X.T @ X, n * lam, np.column_stack([X.T, inst.theta_star]))
+    g_sigma_g, variance = _scored(inst, sol[:, :n], sol[:, n])
     return (n * lam) ** 2 * g_sigma_g, variance
 
 
@@ -693,28 +739,29 @@ def map_draws(task, keys) -> list:
         return list(pool.map(task, keys))
 
 
-def guarded_draw(draw, *args) -> ReplicationResult | None:
-    """draw(*args), or None (which summarize_point excludes) when the draw
-    fails numerically."""
+def guarded_draw(draw, *args, **kwargs) -> ReplicationResult | None:
+    """draw(*args, **kwargs), or None (which summarize_point excludes) when
+    the draw fails numerically."""
     try:
-        return draw(*args)
+        return draw(*args, **kwargs)
     except (NumericalError, np.linalg.LinAlgError):
         return None
 
 
 def projected_draw(
-    inst: ProblemInstance, x: np.ndarray, rep_index: int, m: int, sampler: str, seed: int,
-    record_kappa: bool = False,
+    inst: ProblemInstance, z: np.ndarray, rep_index: int, m: int, sampler: str, seed: int,
+    record_kappa: bool = False, x: np.ndarray | None = None,
 ) -> ReplicationResult:
-    """Score x against a d x m projection drawn from ``seed``; with
-    ``record_kappa`` and m <= d, also estimate kappa from S' Sigma S, formed
-    in Sigma's eigenbasis as (Q'S)' diag(e) (Q'S)."""
+    """Score the unit draw z, with its design x when the caller formed one,
+    against a d x m projection drawn from ``seed``; with ``record_kappa``
+    and m <= d, also estimate kappa from S' Sigma S = C'C, where the
+    C = Sigma^(1/2) S formed for it is handed on to the risk."""
     s = sample_matrix(inst.d, m, sampler, seed)
-    bias, variance = conditional_risk_projected(inst, x, s)
-    kappa_hat = None
+    c = kappa_hat = None
     if record_kappa and m <= inst.d:
-        sq = inst.sigma_basis.T @ s
-        kappa_hat = empirical_kappa_m((sq.T * inst.sigma_eigs) @ sq)
+        c = inst.sqrt_covariance() @ s
+        kappa_hat = empirical_kappa_m(c.T @ c)
+    bias, variance = conditional_risk_projected(inst, z, s, x=x, c=c)
     return ReplicationResult(rep_index, float(m), bias, variance, kappa_hat)
 
 
@@ -736,11 +783,11 @@ def run_replications(
 
     def one(gi: int, r: int) -> ReplicationResult:
         value, seed = grid[gi], functools.partial(child_seed, config.master_seed, gi, r)
-        x = build_design(inst, sample_matrix(inst.n, inst.d, config.sampler, seed(_STREAM_Z)))
+        z = sample_matrix(inst.n, inst.d, config.sampler, seed(_STREAM_Z))
         if grid_kind == "m":
             s_seed = seed(_STREAM_S)
-            return projected_draw(inst, x, r, int(value), config.sampler, s_seed, record_kappa)
-        bias, variance = conditional_risk_ridge(inst, x, float(value))
+            return projected_draw(inst, z, r, int(value), config.sampler, s_seed, record_kappa)
+        bias, variance = conditional_risk_ridge(inst, build_design(inst, z), float(value))
         return ReplicationResult(r, float(value), bias, variance)
 
     keys = [(gi, r) for gi in range(len(grid)) for r in range(config.replications)]

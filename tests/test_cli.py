@@ -505,9 +505,9 @@ class TestFig2Driver:
         draws = []
 
         # Draws run realization by realization: (r0, 0.4), (r0, 2.0), (r1, 0.4), ...
-        def patched(inst, x, s):
+        def patched(*args, **kwargs):
             k = len(draws)
-            bias, variance = original(inst, x, s)
+            bias, variance = original(*args, **kwargs)
             if k == 2:
                 draws.append(None)
                 raise RankDeficientDesignError("projected design lost rank")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -444,7 +445,7 @@ class TestConditionalProjected:
         inst = small_instance(n=30, d=5, seed=8)
         z = sample_matrix(30, 5, "gaussian", 9)
         x = build_design(inst, z)
-        bias, variance = conditional_risk_projected(inst, x, np.eye(5))
+        bias, variance = conditional_risk_projected(inst, z, np.eye(5))
         shat = x.T @ x / 30
         oracle = inst.sigma_noise**2 / 30 * np.trace(
             inst.covariance() @ np.linalg.inv(shat)
@@ -459,9 +460,8 @@ class TestConditionalProjected:
             signal_coords=np.zeros(6), basis=base.sigma_basis,
         )
         z = sample_matrix(12, 6, "gaussian", 14)
-        x = build_design(inst, z)
         s = sample_matrix(6, 3, "rademacher", 15)
-        bias, _ = conditional_risk_projected(inst, x, s)
+        bias, _ = conditional_risk_projected(inst, z, s)
         assert bias == 0.0
 
     def test_matches_epsilon_sampling(self):
@@ -469,29 +469,75 @@ class TestConditionalProjected:
         z = sample_matrix(6, 4, "gaussian", 43)
         x = build_design(inst, z)
         s = sample_matrix(4, 2, "gaussian", 44)
-        bias, variance = conditional_risk_projected(inst, x, s)
+        bias, variance = conditional_risk_projected(inst, z, s)
         pinv = np.linalg.pinv(x @ s)
         coef_map = s @ pinv
         offset = coef_map @ (x @ inst.theta_star)
         mc, se = epsilon_sampling_oracle(inst, coef_map, offset, seed=4)
         assert bias + variance == pytest.approx(mc, abs=3 * se)
 
+    @staticmethod
+    def reference_gap(n, d, m, rtol):
+        # Scored from z alone, and with the design the caller formed (which
+        # fig2 passes, and which is used from m = n on).
+        inst = small_instance(n=n, d=d, seed=n + d + m)
+        z = sample_matrix(n, d, "rademacher", n * d)
+        x = build_design(inst, z)
+        s = sample_matrix(d, m, "rademacher", d * m)
+        ref_bias, ref_variance = svd_projected_reference(inst, x, s)
+        floor = 1e-20 * inst.signal_strength() if m >= d >= 1 and d <= n else 0.0
+        for design in (None, x):
+            bias, variance = conditional_risk_projected(inst, z, s, x=design)
+            assert bias == pytest.approx(ref_bias, rel=rtol, abs=floor)
+            assert variance == pytest.approx(ref_variance, rel=rtol, abs=0.0)
+
     # (n, d, m) with |m - n| >= n/2: m < n, n <= m <= d and m > d, for
-    # d > n and for d <= n, where m >= d gives a zero bias.
+    # d > n and for d <= n, where m >= d gives a zero bias; and the route
+    # switch, n < m < 2n (scored from Z) against m = 2n and m = 2n + 1
+    # (scored through the design).
     @pytest.mark.parametrize("n, d, m", [
         (20, 60, 4), (20, 60, 10), (20, 60, 30), (20, 60, 60), (20, 60, 90),
         (40, 20, 5), (40, 20, 20), (40, 20, 60), (40, 20, 100),
         (200, 400, 50), (200, 400, 300), (200, 400, 800),
+        (20, 60, 35), (20, 60, 40), (20, 60, 41),
+        (40, 20, 70), (40, 20, 80), (40, 20, 81),
+        (200, 400, 400), (200, 400, 401),
     ])
     def test_matches_svd_reference(self, n, d, m):
-        inst = small_instance(n=n, d=d, seed=n + d + m)
-        x = build_design(inst, sample_matrix(n, d, "rademacher", n * d))
-        s = sample_matrix(d, m, "rademacher", d * m)
-        bias, variance = conditional_risk_projected(inst, x, s)
-        ref_bias, ref_variance = svd_projected_reference(inst, x, s)
-        floor = 1e-20 * inst.signal_strength() if m >= d >= 1 and d <= n else 0.0
-        assert bias == pytest.approx(ref_bias, rel=1e-10, abs=floor)
-        assert variance == pytest.approx(ref_variance, rel=1e-10, abs=0.0)
+        self.reference_gap(n, d, m, rtol=1e-10)
+
+    # One step from the interpolation threshold A is nearly square and the
+    # reference itself is good to only about 1e-12.  The bound is about 3x
+    # the largest gap (6.7e-12) that scoring in Sigma's eigenbasis left at
+    # these shapes.
+    @pytest.mark.parametrize("n, d, m", [
+        (20, 60, 19), (20, 60, 21), (40, 20, 39), (40, 20, 41), (200, 400, 199), (200, 400, 201),
+    ])
+    def test_matches_svd_reference_next_to_threshold(self, n, d, m):
+        self.reference_gap(n, d, m, rtol=2e-11)
+
+    @pytest.mark.parametrize("m", [10, 30, 50])
+    def test_gaussian_design_exact_mean(self, m):
+        # For Gaussian X and a fixed S of full rank m < n, A = XS has rows
+        # N(0, S'Sigma S), so (A'A)^-1 has mean (S'Sigma S)^-1/(n - m - 1):
+        # E[variance] = sigma^2 m/(n - m - 1) and E[bias] = r'Sigma r
+        # (n - 1)/(n - m - 1), with r = theta - S (S'Sigma S)^-1 S'Sigma theta
+        # the part of theta the projection misses.
+        n, d, draws = 60, 120, 6000
+        inst = small_instance(n=n, d=d, sigma_noise=1.0, seed=19)
+        s = sample_matrix(d, m, "rademacher", child_seed(19, m))
+        sigma = inst.covariance()
+        r = inst.theta_star - s @ np.linalg.solve(s.T @ sigma @ s, s.T @ (sigma @ inst.theta_star))
+        c = inst.sqrt_covariance() @ s
+        values = np.array([
+            conditional_risk_projected(
+                inst, sample_matrix(n, d, "gaussian", child_seed(19, m, rep)), s, c=c
+            )
+            for rep in range(draws)
+        ])
+        exact = (float(r @ sigma @ r) * (n - 1) / (n - m - 1), m / (n - m - 1))
+        mean, se = values.mean(axis=0), values.std(axis=0, ddof=1) / np.sqrt(draws)
+        assert np.all(np.abs(mean - exact) <= 3 * se), (mean, exact, se)
 
     def test_draw_calls_no_scipy_lapack(self, monkeypatch):
         # numpy and scipy each link their own OpenBLAS, and the two thread
@@ -511,20 +557,20 @@ class TestConditionalProjected:
             monkeypatch.setattr(scipy.linalg, name, no_scipy)
         for n, d in ((20, 30), (30, 20)):
             inst = small_instance(n=n, d=d, seed=5)
-            x = build_design(inst, sample_matrix(n, d, "rademacher", 6))
-            for m in (5, 20, 40):
-                conditional_risk_projected(inst, x, sample_matrix(d, m, "rademacher", m))
+            z = sample_matrix(n, d, "rademacher", 6)
+            x = build_design(inst, z)
+            for m in (5, 20, 40, 70):
+                conditional_risk_projected(inst, z, sample_matrix(d, m, "rademacher", m))
             for lam in (0.0, 0.1):
                 conditional_risk_ridge(inst, x, lam)
 
     def test_rank_deficient_projection_flagged(self):
         inst = small_instance(n=10, d=5, seed=21)
         z = sample_matrix(10, 5, "gaussian", 22)
-        x = build_design(inst, z)
         s = sample_matrix(5, 3, "gaussian", 23)
         s[:, 2] = s[:, 1]  # duplicate column kills one rank
         with pytest.raises(RankDeficientDesignError):
-            conditional_risk_projected(inst, x, s)
+            conditional_risk_projected(inst, z, s)
 
 
 class TestConditionalRidge:
@@ -929,6 +975,41 @@ class TestRunReplications:
         agg = sweep.aggregates[0]
         assert agg.reps_used + agg.excluded == 50
         assert agg.var_mean == pytest.approx(1.0, rel=0.35)
+
+    def test_designs_formed_only_above_twice_n(self, monkeypatch):
+        # Up to m = 2n a projected draw is scored from Z alone; above it,
+        # each draw forms its own design.  No draw reads the eigenbasis once
+        # the instance holds Sigma^(1/2) and Sigma^(1/2) theta.  fig2 forms
+        # at most one design per realization, shared by its draws from
+        # m = n on.
+        import ddlab.cli as cli
+        import ddlab.empirical as emp
+
+        calls = []
+        original = emp.build_design
+
+        def counting(inst, z):
+            calls.append(z.shape)
+            return original(inst, z)
+
+        def no_basis(self):
+            raise AssertionError("a draw read the eigenbasis")
+
+        cfg = self.config(reps=3, m_grid=(5, 24, 30, 48))
+        inst = build_instance(cfg)
+        inst.sqrt_covariance(), inst.root_signal()
+        monkeypatch.setattr(emp, "build_design", counting)
+        monkeypatch.setattr(cli, "build_design", counting)
+        with monkeypatch.context() as patch:
+            patch.setattr(emp.ProblemInstance, "sigma_basis", property(no_basis))
+            run_replications(cfg, inst, record_kappa=True)
+            assert calls == []
+            run_replications(replace(cfg, m_grid=[10, 49, 60]), inst)
+            assert calls == [(24, 12)] * 6
+        for deltas, designs in (((0.4, 0.8), 0), ((0.4, 2.0, 3.0), 3)):
+            calls.clear()
+            cli.run_fig2(n_values=(10,), deltas=deltas, realizations=3)
+            assert calls == [(10, 20)] * designs
 
     def test_record_kappa_matches_dense_covariance(self):
         cfg = self.config(reps=3, m_grid=(3, 7, 12))

@@ -116,7 +116,7 @@ def test_conditional_risks_match_noise_sampling(seed):
 
     m = int(rng.integers(1, min(inst.n, inst.d) + 1))
     s_mat = sample_matrix(inst.d, m, "gaussian", 4000 + seed)
-    bias, variance = conditional_risk_projected(inst, x, s_mat)
+    bias, variance = conditional_risk_projected(inst, z, s_mat)
     coef_map = s_mat @ np.linalg.pinv(x @ s_mat)
     offset = coef_map @ (x @ inst.theta_star)
     mc, se = epsilon_oracle(inst, coef_map, offset, rng)
@@ -139,7 +139,7 @@ def test_surjective_projection_collapses_to_ols(seed):
     # Gaussian projections span R^d almost surely; discrete +-1 columns can
     # genuinely lose rank at these tiny sizes.
     s_mat = sample_matrix(d, m, "gaussian", 7000 + seed)
-    bias_p, var_p = conditional_risk_projected(inst, x, s_mat)
+    bias_p, var_p = conditional_risk_projected(inst, z, s_mat)
     bias_o, var_o = conditional_risk_ridge(inst, x, 0.0)
     assert var_p == pytest.approx(var_o, rel=1e-8)
     assert bias_p <= 1e-8 * max(1.0, inst.signal_strength())
