@@ -21,7 +21,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -57,30 +57,21 @@ from .spectrum import (
 )
 from .theory import RiskBreakdown, ridge_risk, rp_risk
 
-CSV_COLUMNS = [
-    "m_or_lambda",
-    "delta",
-    "bias_theory",
-    "var_theory",
-    "total_theory",
-    "diverged_flag",
-    "bias_emp_mean",
-    "bias_emp_std",
-    "var_emp_mean",
-    "var_emp_std",
-    "reps_used",
-    "kappa",
-]
-
 # Raw replication stream, one row per retained (grid point, replication).
 REPLICATION_CSV_COLUMNS = ["grid_index", "m_or_lambda", "rep_index", "bias", "variance", "kappa_hat"]
 
 FIG2_DELTAS = (0.2, 0.4, 0.6, 0.8, 1.4, 2.0, 3.0)
 FIG2_N_VALUES = (10, 100, 1000)
 FIG2_REALIZATIONS = 10
+FIG2_MASTER_SEED = 102
+FIG2_SAMPLER = "rademacher"
 FIG2_SUMMARY_KEYS = (
     "mean_abs_gap_bias", "mean_abs_gap_variance", "gap_of_means_bias", "gap_of_means_variance",
 )
+FIG3_GAMMAS = (0.5, 1.0, 2.0)
+# Ends of the geometric lambda grid, as the .meta.json spells them.
+FIG3_LAMBDA_ENDS = ("1e-3", "3")
+FIG3_POINTS = 25
 
 
 class UsageError(Exception):
@@ -94,7 +85,8 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class CurveRow:
-    """One emitted grid point; a field the run does not compute stays None."""
+    """One emitted grid point; a field the run does not compute stays None.
+    The fields, in order, are the curve CSV's columns."""
 
     m_or_lambda: float
     delta: float | None = None
@@ -108,6 +100,9 @@ class CurveRow:
     var_emp_std: float | None = None
     reps_used: int | None = None
     kappa: float | None = None
+
+
+CSV_COLUMNS = [f.name for f in fields(CurveRow)]
 
 
 def _curve_row(
@@ -307,13 +302,7 @@ def fig2_theory_measures(n: int) -> tuple[Spectrum, SignalMeasure]:
     return spec, SignalMeasure(masses=(spec.weights / d) / (spec.trace / d))
 
 
-def run_fig2(
-    n_values=FIG2_N_VALUES,
-    deltas=FIG2_DELTAS,
-    realizations: int = FIG2_REALIZATIONS,
-    master_seed: int = 102,
-    sampler: str = "rademacher",
-):
+def run_fig2(n_values=FIG2_N_VALUES, deltas=FIG2_DELTAS, realizations: int = FIG2_REALIZATIONS):
     """Convergence study: per-n curve tables plus gap summaries.
 
     Each realization draws a fresh eigenbasis, target and unit draw Z; the
@@ -333,12 +322,12 @@ def run_fig2(
         ms = [int(round(delta * n)) for delta in deltas]
 
         def realization(r: int):
-            seed = functools.partial(child_seed, master_seed, n, r)
-            inst = seeded_instance(n, 1.0, eigs, seed(2), seed(3))
-            z = sample_matrix(n, inst.d, sampler, seed(0))
+            seed = functools.partial(child_seed, FIG2_MASTER_SEED, n, r)
+            inst = seeded_instance(1.0, eigs, seed(2), seed(3))
+            z = sample_matrix(n, inst.d, FIG2_SAMPLER, seed(0))
             x = build_design(inst, z) if any(m >= n for m in ms) else None
             return [
-                guarded_draw(projected_draw, inst, z, r, m, sampler, seed(1, j), x=x)
+                guarded_draw(projected_draw, inst, z, r, m, FIG2_SAMPLER, seed(1, j), x=x)
                 for j, m in enumerate(ms)
             ]
 
@@ -371,11 +360,11 @@ def _dims_for_gamma(gamma: float) -> tuple[int, int]:
     return n, d
 
 
-def run_fig3(gammas=(0.5, 1.0, 2.0), lambda_max: float = 3.0, points: int = 25):
+def run_fig3():
     """Implicit regularization curves kappa(lambda) for unit isotropic spectra."""
-    lams = [0.0] + list(np.geomspace(1e-3, lambda_max, points))
+    lams = [0.0] + list(np.geomspace(*map(float, FIG3_LAMBDA_ENDS), FIG3_POINTS))
     rows = []
-    for gamma in gammas:
+    for gamma in FIG3_GAMMAS:
         n, d = _dims_for_gamma(gamma)
         spec = make_isotropic(d, 1.0)
         masses = (spec.weights / d) / 1.0
@@ -626,8 +615,8 @@ def _cmd_reproduce(args) -> int:
             out_dir / "fig3.meta.json",
             {
                 "preset": "fig3",
-                "gammas": [0.5, 1.0, 2.0],
-                "lambda_grid": "zero plus geometric grid on [1e-3, 3]",
+                "gammas": list(FIG3_GAMMAS),
+                "lambda_grid": f"zero plus geometric grid on [{', '.join(FIG3_LAMBDA_ENDS)}]",
                 "note": "delta column carries gamma; kappa column is the solved parameter",
             },
         )

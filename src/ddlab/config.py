@@ -21,7 +21,7 @@ from .spectrum import SPECTRUM_KINDS, SpectrumParamError, check_spectrum_params
 
 
 def default_m_grid(n: int) -> list[int]:
-    """Projection-count grid: dense through both regimes, out to m = 4n.
+    """Projection-count grid: dense on both sides of m = n, out to m = 4n.
 
     Step n/20 up to 2n (so the interpolation point m = n is on the grid),
     then four times coarser out to 4n.

@@ -2,14 +2,15 @@
 
 The Monte Carlo side of the library.  A ProblemInstance fixes one concrete
 prediction problem (covariance eigenstructure, target coefficients, noise
-level); replications then draw a unit-variance matrix Z, whose design is
-X = Z Sigma^(1/2), and a projection, and evaluate the excess risk
-conditionally on them, exactly in the noise (the noise expectation is
-carried out in closed form, never sampled).  Both conditional risks are
-scored in Sigma^(1/2) coordinates, so a draw reads Sigma^(1/2) and never
-the eigenbasis.  All sampling is seed-pure: samplers take explicit seeds and
-no global RNG state is touched, so replications can run concurrently and
-merge deterministically.
+level) but not the sample size n, which belongs to the sweep.  Replications
+draw an n x d unit-variance matrix Z, whose design is X = Z Sigma^(1/2),
+and a projection, and evaluate the excess risk conditionally on them,
+exactly in the noise (the noise expectation is carried out in closed
+form, never sampled).  Both conditional risks are scored in Sigma^(1/2)
+coordinates, so a draw reads Sigma^(1/2) and never the eigenbasis.  All
+sampling is seed-pure: samplers take explicit seeds and no global RNG state
+is touched, so replications can run concurrently and merge
+deterministically.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class ProblemInstance:
     are immutable.
     """
 
-    def __init__(self, n: int, sigma_noise: float, sigma_eigs, signal_coords, basis):
+    def __init__(self, sigma_noise: float, sigma_eigs, signal_coords, basis):
         eigs, coords = np.array(sigma_eigs, dtype=float), np.array(signal_coords, dtype=float)
         if eigs.ndim != 1 or coords.shape != eigs.shape:
             raise ValueError("eigenvalues and signal coordinates must be d-vectors")
@@ -158,7 +159,7 @@ class ProblemInstance:
             _check_orthonormal(basis)
         eigs.flags.writeable = coords.flags.writeable = False
         self.__dict__.update(
-            n=n, d=d, sigma_noise=sigma_noise, sigma_eigs=eigs, signal_coords=coords,
+            d=d, sigma_noise=sigma_noise, sigma_eigs=eigs, signal_coords=coords,
             _basis=basis, _formed=None, _sqrt_cov=None, _root_signal=None,
             _lock=threading.RLock(),
         )
@@ -266,7 +267,7 @@ def build_design(inst: ProblemInstance, z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def seeded_instance(
-    n: int, sigma_noise: float, eigs: np.ndarray, basis_seed: int, theta_seed: int
+    sigma_noise: float, eigs: np.ndarray, basis_seed: int, theta_seed: int
 ) -> ProblemInstance:
     """Instance with a seeded random eigenbasis and a seeded Gaussian target.
 
@@ -278,7 +279,7 @@ def seeded_instance(
     """
     coords = np.random.default_rng(theta_seed).standard_normal(eigs.shape[0])
     coords /= math.sqrt(float(eigs @ coords**2))
-    return ProblemInstance(n, sigma_noise, eigs, coords, basis_seed)
+    return ProblemInstance(sigma_noise, eigs, coords, basis_seed)
 
 
 def _read_measures(path) -> tuple[Spectrum, SignalMeasure | None]:
@@ -309,8 +310,7 @@ def build_instance(config: SweepConfig) -> ProblemInstance:
 
     if config.signal_kind == "random_gaussian_normalized":
         return seeded_instance(
-            config.n, config.sigma_noise, eigs, basis_seed,
-            child_seed(config.signal_seed, _STREAM_THETA),
+            config.sigma_noise, eigs, basis_seed, child_seed(config.signal_seed, _STREAM_THETA)
         )
     if config.signal_kind != "aligned_file":
         raise ValueError(f"unknown signal kind {config.signal_kind!r}")
@@ -329,7 +329,7 @@ def build_instance(config: SweepConfig) -> ProblemInstance:
     if not np.allclose(file_eigs[file_order], eigs, rtol=1e-9, atol=0.0):
         raise ValueError("aligned signal file does not match the spectrum")
     return ProblemInstance(
-        config.n, config.sigma_noise, eigs, np.sqrt(per_direction[file_order]), basis_seed
+        config.sigma_noise, eigs, np.sqrt(per_direction[file_order]), basis_seed
     )
 
 
@@ -359,7 +359,7 @@ def conditional_risk_projected(
     on (X, S) the variance is sigma^2 tr[P' Sigma P] and the bias is the
     excess risk of the noiseless fit P X theta.  Raises
     RankDeficientDesignError when A falls below its generic rank
-    min(n, m, d) at pseudo_inverse's default tolerance.
+    min(n, m, d) at pseudo_inverse's tolerance.
 
     The map is scored in Sigma^(1/2) coordinates.  With C = Sigma^(1/2) S
     and phi = Sigma^(1/2) theta (cached on the instance), X theta = Z phi,
@@ -420,8 +420,8 @@ def conditional_risk_ridge(
     about 1e-14 at every other shape and lam measured.
     """
     lam = float(lam)
-    if not lam >= 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     n = X.shape[0]
     root = inst.sqrt_covariance()
     if inst.d > n:
@@ -437,8 +437,8 @@ def conditional_risk_ridge(
 def empirical_kappa_lambda(X: np.ndarray, n: int, lam: float) -> float:
     """Finite-sample implicit regularization 1 / tr[(XX' + n lam I)^-1]."""
     lam = float(lam)
-    if not lam >= 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     kernel_eigs = np.linalg.eigvalsh(X @ X.T)
     shifted = kernel_eigs + n * lam
     if (shifted <= 0).any():
@@ -783,7 +783,7 @@ def run_replications(
 
     def one(gi: int, r: int) -> ReplicationResult:
         value, seed = grid[gi], functools.partial(child_seed, config.master_seed, gi, r)
-        z = sample_matrix(inst.n, inst.d, config.sampler, seed(_STREAM_Z))
+        z = sample_matrix(config.n, inst.d, config.sampler, seed(_STREAM_Z))
         if grid_kind == "m":
             s_seed = seed(_STREAM_S)
             return projected_draw(inst, z, r, int(value), config.sampler, s_seed, record_kappa)

@@ -9,11 +9,13 @@ safe to call from multiple threads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Rank cutoff for pseudo-inverses, relative to the largest singular value.
-# Exposed as a parameter of pseudo_inverse because projected designs
-# just above the interpolation threshold are genuinely ill-conditioned.
+# Projected designs just above the interpolation threshold are genuinely
+# ill-conditioned, so only singular values near roundoff are cut.
 DEFAULT_RANK_TOL = 1e-12
 
 
@@ -74,8 +76,8 @@ def solve_shifted(a, shift: float, rhs) -> np.ndarray:
     x = L^-T (L^-1 rhs), on numpy's OpenBLAS, the only BLAS ddlab loads.
     """
     a = as_sym_matrix(a)
-    if shift < 0:
-        raise ValueError(f"shift must be nonnegative, got {shift}")
+    if not 0 <= shift < math.inf:
+        raise ValueError(f"shift must be finite and nonnegative, got {shift}")
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != a.shape[0]:
         raise ValueError(f"rhs has leading dimension {rhs.shape[0]}, expected {a.shape[0]}")
@@ -100,13 +102,14 @@ def solve_shifted(a, shift: float, rhs) -> np.ndarray:
     return x
 
 
-def pseudo_inverse(design, tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, int]:
+def pseudo_inverse(design) -> tuple[np.ndarray, int]:
     """Moore-Penrose pseudo-inverse through the smaller Gram matrix G.
 
     Returns (pinv, numerical_rank); pinv has shape (p, n) for an n x p input.
-    The cutoff drops singular values below tol times the largest one; Gram
-    eigenvalues at the machine-noise level eps * max(n, p) relative to the
-    top are always dropped, which is the resolution limit of this route.
+    The cutoff drops singular values below DEFAULT_RANK_TOL times the
+    largest one; Gram eigenvalues at the machine-noise level eps * max(n, p)
+    relative to the top are always dropped, which is the resolution limit
+    of this route.
     An all-zero design has rank 0 and a zero pseudo-inverse.
 
     A Cholesky factor G = LL' gives the inverse directly when it certifies
@@ -120,7 +123,7 @@ def pseudo_inverse(design, tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, i
     n, p = design.shape
     cols = p <= n
     gram = design.T @ design if cols else design @ design.T
-    cutoff = max(tol**2, np.finfo(float).eps * max(n, p))
+    cutoff = max(DEFAULT_RANK_TOL**2, np.finfo(float).eps * max(n, p))
     inverse = _certified_inverse(gram, cutoff)
     if inverse is None:
         return _eigh_pseudo_inverse(design, gram, cols, cutoff)

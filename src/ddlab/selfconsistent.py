@@ -8,8 +8,10 @@ equivalent requires the larger parameter kappa solving
 together with the companion problem df1(kappa) = target used by the
 projection formulas.  Both maps are monotone on the relevant branch, so
 bisection with a guaranteed bracket is used throughout; kappa_at_dof then
-polishes the residual with a couple of guarded Newton steps.  Closed forms
-are provided for the isotropic and two-atom spectra.
+polishes the residual with a couple of guarded Newton steps.  Each solve
+returns a KappaSolution: kappa, the residual of its defining equation, the
+bisection step count and a divergence flag.  Closed forms are provided for
+the isotropic and two-atom spectra.
 
 Most bisection steps are decided without evaluating df1.  The test a step
 makes, df1(mid) > target or mid * (1 - df1(mid)/n) - lambda < 0, is
@@ -44,14 +46,7 @@ __all__ = [
     "kappa_at_dof",
     "kappa_isotropic_closed",
     "kappa_two_dirac_closed",
-    "REGIME_UNDER",
-    "REGIME_OVER",
-    "REGIME_CRITICAL",
 ]
-
-REGIME_UNDER = "under_parameterized"
-REGIME_OVER = "over_parameterized"
-REGIME_CRITICAL = "critical"
 
 _BISECT_REL_WIDTH = 1e-13
 _MAX_ITER = 200
@@ -76,24 +71,15 @@ class KappaSolution:
     kappa: float | np.ndarray
     residual: float | np.ndarray
     iterations: int
-    regime: str
     diverged: bool | np.ndarray = False
 
 
-def _regime(d: float, n: int) -> str:
-    if d < n:
-        return REGIME_UNDER
-    if d > n:
-        return REGIME_OVER
-    return REGIME_CRITICAL
-
-
-def _solution(kappa, residual, iterations, regime, diverged, scalar) -> KappaSolution:
+def _solution(kappa, residual, iterations, diverged, scalar) -> KappaSolution:
     if scalar:
         return KappaSolution(
-            float(kappa[0]), float(residual[0]), int(iterations.sum()), regime, bool(diverged[0])
+            float(kappa[0]), float(residual[0]), int(iterations.sum()), bool(diverged[0])
         )
-    return KappaSolution(kappa, residual, int(iterations.sum()), regime, diverged)
+    return KappaSolution(kappa, residual, int(iterations.sum()), diverged)
 
 
 def _bisect(lo, hi, lower, converged, iterations, bracket) -> None:
@@ -206,7 +192,6 @@ def kappa_of_lambda(s: Spectrum, n: int, lam) -> KappaSolution:
     if not np.isfinite(lams).all():
         raise ValueError(f"lambda must be finite, got {lam}")
     rank = s.rank
-    regime = _regime(rank, n)
     kappa = np.zeros_like(lams)
     residual = np.zeros_like(lams)
     iterations = np.zeros(lams.shape, dtype=int)
@@ -254,7 +239,7 @@ def kappa_of_lambda(s: Spectrum, n: int, lam) -> KappaSolution:
         )
         k = 0.5 * (lo + hi)
         kappa[live], residual[live], iterations[live] = k, defect(k, slice(None)), it
-    return _solution(kappa, residual, iterations, regime, diverged, scalar)
+    return _solution(kappa, residual, iterations, diverged, scalar)
 
 
 def kappa_at_dof(s: Spectrum, target) -> KappaSolution:
@@ -312,12 +297,8 @@ def kappa_at_dof(s: Spectrum, target) -> KappaSolution:
         step = (fp != 0.0) & (0.0 < cand) & (cand < bracket_hi[lanes]) & (cand != k)
         kappa[lanes[step]] = cand[step]
         lanes = lanes[step]
-    # Inverting df1 only arises when the dof constraint binds, i.e. the
-    # effective model dimension exceeds the target.
     residual = df1(s, kappa) - targets
-    return _solution(
-        kappa, residual, iterations, REGIME_OVER, np.zeros(targets.shape, dtype=bool), scalar
-    )
+    return _solution(kappa, residual, iterations, np.zeros(targets.shape, dtype=bool), scalar)
 
 
 def kappa_isotropic_closed(sigma: float, gamma: float, lam: float) -> float:

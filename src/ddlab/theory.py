@@ -4,8 +4,10 @@ Given a spectrum, a signal measure, a sample count n and a noise level, this
 module evaluates the deterministic equivalents of the excess risk for ridge
 regression, minimum-norm least squares, and minimum-norm least squares on
 randomly projected covariates, plus the exact finite-sample fixed-design
-ridge formula.  Variance terms never depend on the signal and bias terms
-never depend on the noise level.
+ridge formula.  Each operating point gives a RiskBreakdown: bias, variance,
+their total, the kappa the equivalents were read at, and a divergence flag.
+Variance terms never depend on the signal and bias terms never depend on
+the noise level.
 """
 
 from __future__ import annotations
@@ -13,16 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .selfconsistent import (
-    REGIME_CRITICAL,
-    REGIME_OVER,
-    REGIME_UNDER,
-    kappa_at_dof,
-    kappa_of_lambda,
-)
-from .spectrum import SignalMeasure, Spectrum, as_grid, df1, df2, signal_functional
+from .selfconsistent import kappa_at_dof, kappa_of_lambda
+from .spectrum import SignalMeasure, Spectrum, as_grid, df2, signal_functional
 
 __all__ = [
     "RiskBreakdown",
@@ -50,23 +44,11 @@ class RiskBreakdown:
     variance: float
     total: float
     kappa: float
-    df1_at_kappa: float
-    df2_at_kappa: float
-    regime: str
     diverged: bool = False
 
 
-def _breakdowns(s: Spectrum, bias, variance, kappa, regime, diverged) -> list[RiskBreakdown]:
-    """One RiskBreakdown per grid point, with df1 and df2 read at every kappa at once.
-
-    regime and diverged hold one entry per point; total is bias + variance.
-    """
-    grid = np.asarray(kappa, dtype=float)
-    d1, d2 = df1(s, grid).tolist(), df2(s, grid).tolist()
-    return [
-        RiskBreakdown(b, v, b + v, k, x1, x2, r, dv)
-        for b, v, k, x1, x2, r, dv in zip(bias, variance, kappa, d1, d2, regime, diverged)
-    ]
+def _breakdown(bias, variance, kappa, diverged: bool = False) -> RiskBreakdown:
+    return RiskBreakdown(bias, variance, bias + variance, kappa, diverged)
 
 
 def fixed_design_ridge_risk(
@@ -85,18 +67,13 @@ def fixed_design_ridge_risk(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     lam = float(lam)
-    if not lam >= 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     if lam == 0.0 and empirical_spec.rank < empirical_spec.d:
         raise ValueError("lambda = 0 requires a full-rank empirical covariance")
-    regime = (
-        REGIME_UNDER
-        if empirical_spec.d < n
-        else (REGIME_OVER if empirical_spec.d > n else REGIME_CRITICAL)
-    )
     bias = lam**2 * signal_functional(empirical_spec, empirical_signal, lam, 2)
     variance = sigma**2 / n * df2(empirical_spec, lam)
-    return _breakdowns(empirical_spec, [bias], [variance], [lam], [regime], [False])[0]
+    return _breakdown(bias, variance, lam)
 
 
 def ridge_risk(s: Spectrum, v: SignalMeasure, n: int, sigma: float, lam):
@@ -112,20 +89,15 @@ def ridge_risk(s: Spectrum, v: SignalMeasure, n: int, sigma: float, lam):
     kappa = sol.kappa.tolist()
     d2 = df2(s, sol.kappa).tolist()
     sf2 = signal_functional(s, v, sol.kappa, 2).tolist()
-    bias, variance, diverged = [], [], []
+    out = []
     for k, dd, sf, flagged in zip(kappa, d2, sf2, sol.diverged.tolist()):
         denom = 1.0 - dd / n
         if flagged or denom <= DIVERGENCE_FLOOR:
-            bias.append(math.inf)
-            variance.append(math.inf)
-            diverged.append(True)
+            out.append(_breakdown(math.inf, math.inf, k, True))
             continue
         # Python floats throughout: kappa**2 is libm pow, as a scalar call has it.
         inflation = 1.0 / denom
-        variance.append(sigma**2 / n * dd * inflation)
-        bias.append(k**2 * sf * inflation)
-        diverged.append(False)
-    out = _breakdowns(s, bias, variance, kappa, [sol.regime] * len(kappa), diverged)
+        out.append(_breakdown(k**2 * sf * inflation, sigma**2 / n * dd * inflation, k))
     return out[0] if scalar else out
 
 
@@ -157,22 +129,19 @@ def rp_risk(s: Spectrum, v: SignalMeasure, n: int, m, sigma: float):
     if n < 1 or not (ms >= 1).all():
         raise ValueError(f"n and m must be >= 1, got n={n} m={m}")
     d = s.rank
-    # (bias, variance, kappa, regime, diverged) per point; the kappa_m and
-    # kappa_n points are filled in below.
-    rows: list = []
+    # One breakdown per point; the kappa_m and kappa_n points are filled in
+    # below.  m = n itself falls under the relative floor.
+    rows: list[RiskBreakdown | None] = []
     below: list[int] = []
     above: list[int] = []
     ols = None
     for i, mi in enumerate(ms.tolist()):
         if d < n and mi >= d:
             if ols is None:
-                mn = minnorm_risk(s, v, n, sigma)
-                ols = (mn.bias, mn.variance, mn.kappa, mn.regime, mn.diverged)
+                ols = minnorm_risk(s, v, n, sigma)
             rows.append(ols)
-        elif mi == n:
-            rows.append((math.inf, math.inf, 0.0, REGIME_CRITICAL, True))
         elif (mi > n and d == n) or abs(mi - n) / n <= DIVERGENCE_FLOOR:
-            rows.append((math.inf, math.inf, 0.0, REGIME_UNDER if mi < n else REGIME_OVER, True))
+            rows.append(_breakdown(math.inf, math.inf, 0.0, True))
         else:
             rows.append(None)
             (below if mi < n else above).append(i)
@@ -182,8 +151,7 @@ def rp_risk(s: Spectrum, v: SignalMeasure, n: int, m, sigma: float):
         sf1 = signal_functional(s, v, km, 1)
         for i, k, sf in zip(below, km.tolist(), sf1.tolist()):
             mi = ms[i].item()
-            bias = k * sf / ((n - mi) / n)
-            rows[i] = (bias, sigma**2 * mi / (n - mi), k, REGIME_UNDER, False)
+            rows[i] = _breakdown(k * sf / ((n - mi) / n), sigma**2 * mi / (n - mi), k)
 
     if above:
         kn = kappa_at_dof(s, float(n)).kappa
@@ -191,7 +159,7 @@ def rp_risk(s: Spectrum, v: SignalMeasure, n: int, m, sigma: float):
         denom = 1.0 - d2 / n
         if denom <= DIVERGENCE_FLOOR:
             for i in above:
-                rows[i] = (math.inf, math.inf, kn, REGIME_OVER, True)
+                rows[i] = _breakdown(math.inf, math.inf, kn, True)
         else:
             inflation = 1.0 / denom
             var_n = sigma**2 / n * d2 * inflation
@@ -199,8 +167,8 @@ def rp_risk(s: Spectrum, v: SignalMeasure, n: int, m, sigma: float):
             sf1 = signal_functional(s, v, kn, 1)
             for i in above:
                 mi = ms[i].item()
-                bias = bias_n + kn * sf1 * n / (mi - n)
-                rows[i] = (bias, var_n + sigma**2 * n / (mi - n), kn, REGIME_OVER, False)
+                rows[i] = _breakdown(
+                    bias_n + kn * sf1 * n / (mi - n), var_n + sigma**2 * n / (mi - n), kn
+                )
 
-    out = _breakdowns(s, *zip(*rows)) if rows else []
-    return out[0] if scalar else out
+    return rows[0] if scalar else rows

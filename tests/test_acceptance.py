@@ -122,7 +122,7 @@ def test_criterion_2_point_values():
 def test_criterion_3_gaussian_ols_identity():
     start = time.monotonic()
     n, d = 60, 20
-    inst = small_instance(n=n, d=d, sigma_noise=1.0, seed=2024)
+    inst = small_instance(d=d, sigma_noise=1.0, seed=2024)
     values = np.empty(2000)
     for rep in range(2000):
         z = sample_matrix(n, d, "gaussian", child_seed(31337, rep))

@@ -29,21 +29,21 @@ from ddlab.selfconsistent import kappa_at_dof, kappa_isotropic_closed
 from ddlab.spectrum import make_isotropic
 
 
-def small_instance(n=6, d=4, sigma_noise=0.7, seed=42, eigs=None):
+def small_instance(d=4, sigma_noise=0.7, seed=42, eigs=None):
     rng = np.random.default_rng(seed)
     q = np.linalg.qr(rng.standard_normal((d, d)))[0]
     if eigs is None:
         eigs = rng.uniform(0.25, 2.0, size=d)
     theta = rng.standard_normal(d)
     return ProblemInstance(
-        n=n, sigma_noise=sigma_noise, sigma_eigs=eigs, signal_coords=q.T @ theta, basis=q
+        sigma_noise=sigma_noise, sigma_eigs=eigs, signal_coords=q.T @ theta, basis=q
     )
 
 
 def epsilon_sampling_oracle(inst, coef_map, offset, n_draws=100_000, seed=0):
     """Monte Carlo excess risk over the noise for theta_hat = offset + coef_map @ eps."""
     rng = np.random.default_rng(seed)
-    eps = rng.standard_normal((n_draws, inst.n)) * inst.sigma_noise
+    eps = rng.standard_normal((n_draws, coef_map.shape[1])) * inst.sigma_noise
     dev = (offset - inst.theta_star)[None, :] + eps @ coef_map.T
     risks = np.einsum("ij,ij->i", dev, dev @ inst.covariance())
     return float(risks.mean()), float(risks.std() / np.sqrt(n_draws))
@@ -159,13 +159,13 @@ class TestBuildDesign:
     def test_diagonal_covariance_scales_columns(self):
         eigs = np.array([4.0, 1.0, 0.25])
         inst = ProblemInstance(
-            n=5, sigma_noise=1.0, sigma_eigs=eigs, signal_coords=np.zeros(3), basis=np.eye(3)
+            sigma_noise=1.0, sigma_eigs=eigs, signal_coords=np.zeros(3), basis=np.eye(3)
         )
         z = np.random.default_rng(1).standard_normal((5, 3))
         assert np.allclose(build_design(inst, z), z * np.sqrt(eigs)[None, :])
 
     def test_empirical_covariance_converges(self):
-        inst = small_instance(n=10_000, d=10, seed=3)
+        inst = small_instance(d=10, seed=3)
         z = sample_matrix(10_000, 10, "gaussian", 5)
         x = build_design(inst, z)
         dev = np.abs(x.T @ x / 10_000 - inst.covariance())
@@ -181,7 +181,7 @@ class TestProblemInstance:
     def test_signal_eigenvector_alignment(self):
         base = small_instance(d=3, seed=24)
         inst = ProblemInstance(
-            n=base.n, sigma_noise=base.sigma_noise, sigma_eigs=base.sigma_eigs,
+            sigma_noise=base.sigma_noise, sigma_eigs=base.sigma_eigs,
             signal_coords=[1.0, 0.0, 0.0], basis=base.sigma_basis,
         )
         assert np.array_equal(inst.signal().masses, [1.0, 0.0, 0.0])
@@ -220,7 +220,7 @@ class TestProblemInstance:
     def test_theta_dimension_mismatch(self):
         with pytest.raises(ValueError, match="signal coordinates"):
             ProblemInstance(
-                n=4, sigma_noise=1.0, sigma_eigs=np.ones(3), signal_coords=np.ones(4),
+                sigma_noise=1.0, sigma_eigs=np.ones(3), signal_coords=np.ones(4),
                 basis=np.eye(3),
             )
 
@@ -233,7 +233,7 @@ class TestProblemInstance:
         ("sigma_noise", np.nan),
     ])
     def test_non_finite_input_rejected(self, field, value):
-        args = dict(n=4, sigma_noise=1.0, sigma_eigs=np.ones(3), signal_coords=np.ones(3))
+        args = dict(sigma_noise=1.0, sigma_eigs=np.ones(3), signal_coords=np.ones(3))
         args[field] = value
         for basis in (np.eye(3), 7):
             with pytest.raises(ValueError, match="finite"):
@@ -244,7 +244,7 @@ class TestProblemInstance:
         eigs = np.linspace(2.0, 0.5, 16)
         coords = np.random.default_rng(3).standard_normal(16)
         seeded, given = (
-            ProblemInstance(n=8, sigma_noise=0.5, sigma_eigs=eigs, signal_coords=coords, basis=b)
+            ProblemInstance(sigma_noise=0.5, sigma_eigs=eigs, signal_coords=coords, basis=b)
             for b in (11, seeded_basis(16, 11))
         )
         assert np.array_equal(seeded.sigma_basis, given.sigma_basis)
@@ -254,7 +254,7 @@ class TestProblemInstance:
     def test_signal_coords_read_only(self):
         coords = np.ones(3)
         inst = ProblemInstance(
-            n=4, sigma_noise=1.0, sigma_eigs=np.ones(3), signal_coords=coords, basis=5
+            sigma_noise=1.0, sigma_eigs=np.ones(3), signal_coords=coords, basis=5
         )
         with pytest.raises(ValueError, match="read-only"):
             inst.signal_coords[0] = 2.0
@@ -278,7 +278,7 @@ class TestSeededRotation:
     @pytest.mark.parametrize("d", [1, 2, 7, 64, 300])
     def test_seeded_instance_matches_old_kernel(self, d):
         eigs = np.sort(np.random.default_rng(d).uniform(0.1, 2.0, d))[::-1].copy()
-        inst = seeded_instance(10, 1.0, eigs, basis_seed=5, theta_seed=8)
+        inst = seeded_instance(1.0, eigs, basis_seed=5, theta_seed=8)
         coords = np.random.default_rng(8).standard_normal(d)
         coords = coords / math.sqrt(float(eigs @ coords**2))
         assert np.array_equal(inst.signal().masses, coords**2)
@@ -329,7 +329,7 @@ class TestSeededRotation:
             return matrix(d, seed)
 
         monkeypatch.setattr(emp, "seeded_basis", counting)
-        inst = seeded_instance(10, 1.0, np.linspace(2.0, 0.5, 64), 3, 4)
+        inst = seeded_instance(1.0, np.linspace(2.0, 0.5, 64), 3, 4)
         seen, thetas, roots = [], [], []
         barrier = threading.Barrier(8)
 
@@ -442,7 +442,7 @@ class TestInstanceEigenvalues:
 
 class TestConditionalProjected:
     def test_identity_projection_is_ols(self):
-        inst = small_instance(n=30, d=5, seed=8)
+        inst = small_instance(d=5, seed=8)
         z = sample_matrix(30, 5, "gaussian", 9)
         x = build_design(inst, z)
         bias, variance = conditional_risk_projected(inst, z, np.eye(5))
@@ -454,9 +454,9 @@ class TestConditionalProjected:
         assert variance == pytest.approx(oracle, rel=1e-8)
 
     def test_zero_signal_zero_bias(self):
-        base = small_instance(n=12, d=6, seed=13)
+        base = small_instance(d=6, seed=13)
         inst = ProblemInstance(
-            n=12, sigma_noise=base.sigma_noise, sigma_eigs=base.sigma_eigs,
+            sigma_noise=base.sigma_noise, sigma_eigs=base.sigma_eigs,
             signal_coords=np.zeros(6), basis=base.sigma_basis,
         )
         z = sample_matrix(12, 6, "gaussian", 14)
@@ -465,7 +465,7 @@ class TestConditionalProjected:
         assert bias == 0.0
 
     def test_matches_epsilon_sampling(self):
-        inst = small_instance(n=6, d=4, seed=42)
+        inst = small_instance(d=4, seed=42)
         z = sample_matrix(6, 4, "gaussian", 43)
         x = build_design(inst, z)
         s = sample_matrix(4, 2, "gaussian", 44)
@@ -480,7 +480,7 @@ class TestConditionalProjected:
     def reference_gap(n, d, m, rtol):
         # Scored from z alone, and with the design the caller formed (which
         # fig2 passes, and which is used from m = n on).
-        inst = small_instance(n=n, d=d, seed=n + d + m)
+        inst = small_instance(d=d, seed=n + d + m)
         z = sample_matrix(n, d, "rademacher", n * d)
         x = build_design(inst, z)
         s = sample_matrix(d, m, "rademacher", d * m)
@@ -524,7 +524,7 @@ class TestConditionalProjected:
         # (n - 1)/(n - m - 1), with r = theta - S (S'Sigma S)^-1 S'Sigma theta
         # the part of theta the projection misses.
         n, d, draws = 60, 120, 6000
-        inst = small_instance(n=n, d=d, sigma_noise=1.0, seed=19)
+        inst = small_instance(d=d, sigma_noise=1.0, seed=19)
         s = sample_matrix(d, m, "rademacher", child_seed(19, m))
         sigma = inst.covariance()
         r = inst.theta_star - s @ np.linalg.solve(s.T @ sigma @ s, s.T @ (sigma @ inst.theta_star))
@@ -556,7 +556,7 @@ class TestConditionalProjected:
         for name in ("cho_factor", "cho_solve", "cholesky", "solve", "solve_triangular", "inv"):
             monkeypatch.setattr(scipy.linalg, name, no_scipy)
         for n, d in ((20, 30), (30, 20)):
-            inst = small_instance(n=n, d=d, seed=5)
+            inst = small_instance(d=d, seed=5)
             z = sample_matrix(n, d, "rademacher", 6)
             x = build_design(inst, z)
             for m in (5, 20, 40, 70):
@@ -565,7 +565,7 @@ class TestConditionalProjected:
                 conditional_risk_ridge(inst, x, lam)
 
     def test_rank_deficient_projection_flagged(self):
-        inst = small_instance(n=10, d=5, seed=21)
+        inst = small_instance(d=5, seed=21)
         z = sample_matrix(10, 5, "gaussian", 22)
         s = sample_matrix(5, 3, "gaussian", 23)
         s[:, 2] = s[:, 1]  # duplicate column kills one rank
@@ -575,7 +575,7 @@ class TestConditionalProjected:
 
 class TestConditionalRidge:
     def test_infinite_shrinkage(self):
-        inst = small_instance(n=20, d=6, seed=31)
+        inst = small_instance(d=6, seed=31)
         z = sample_matrix(20, 6, "gaussian", 32)
         x = build_design(inst, z)
         bias, variance = conditional_risk_ridge(inst, x, 1e12)
@@ -584,7 +584,7 @@ class TestConditionalRidge:
         assert variance == pytest.approx(0.0, abs=1e-10)
 
     def test_ols_exact_conditional_variance(self):
-        inst = small_instance(n=25, d=6, seed=33)
+        inst = small_instance(d=6, seed=33)
         z = sample_matrix(25, 6, "gaussian", 34)
         x = build_design(inst, z)
         bias, variance = conditional_risk_ridge(inst, x, 0.0)
@@ -598,7 +598,7 @@ class TestConditionalRidge:
 
     @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
     def test_matches_epsilon_sampling(self, lam):
-        inst = small_instance(n=7, d=4, seed=51)
+        inst = small_instance(d=4, seed=51)
         z = sample_matrix(7, 4, "gaussian", 52)
         x = build_design(inst, z)
         bias, variance = conditional_risk_ridge(inst, x, lam)
@@ -611,7 +611,7 @@ class TestConditionalRidge:
         assert bias + variance == pytest.approx(mc, abs=3 * se)
 
     def test_minnorm_route_overparameterized(self):
-        inst = small_instance(n=4, d=9, seed=61, eigs=np.linspace(0.5, 2.0, 9))
+        inst = small_instance(d=9, seed=61, eigs=np.linspace(0.5, 2.0, 9))
         z = sample_matrix(4, 9, "gaussian", 62)
         x = build_design(inst, z)
         bias, variance = conditional_risk_ridge(inst, x, 0.0)
@@ -627,7 +627,7 @@ class TestConditionalRidge:
     @pytest.mark.parametrize("n, d", [(7, 12), (12, 7), (9, 9)])
     @pytest.mark.parametrize("lam", [0.0, 1e-8, 1e-4, 0.1, 1.0, 1e12])
     def test_matches_svd_reference(self, n, d, lam):
-        inst = small_instance(n=n, d=d, seed=n * d)
+        inst = small_instance(d=d, seed=n * d)
         x = build_design(inst, sample_matrix(n, d, "gaussian", n + d))
         bias, variance = conditional_risk_ridge(inst, x, lam)
         ref_bias, ref_variance = svd_ridge_reference(inst, x, lam)
@@ -636,7 +636,7 @@ class TestConditionalRidge:
 
     def test_gaussian_ols_identity_small(self):
         # Exact inverse-Wishart mean: sigma^2 d / (n - d - 1); 300 draws at 4 SE.
-        inst = small_instance(n=40, d=10, sigma_noise=1.0, seed=71)
+        inst = small_instance(d=10, sigma_noise=1.0, seed=71)
         values = []
         for rep in range(300):
             z = sample_matrix(40, 10, "gaussian", child_seed(71, rep))
@@ -646,10 +646,20 @@ class TestConditionalRidge:
         se = values.std(ddof=1) / np.sqrt(len(values))
         assert values.mean() == pytest.approx(10 / 29, abs=4 * se)
 
+    def test_rejects_infinite_lambda(self):
+        inst = small_instance(d=4, seed=51)
+        x = build_design(inst, sample_matrix(7, 4, "gaussian", 52))
+        with pytest.raises(ValueError, match="finite"):
+            conditional_risk_ridge(inst, x, np.inf)
+
 
 class TestEmpiricalKappa:
     def test_zero_design_returns_lambda(self):
         assert empirical_kappa_lambda(np.zeros((8, 3)), 8, 0.25) == pytest.approx(0.25)
+
+    def test_rejects_infinite_lambda(self):
+        with pytest.raises(ValueError, match="finite"):
+            empirical_kappa_lambda(np.ones((8, 3)), 8, np.inf)
 
     def test_matches_closed_form_isotropic(self):
         z = sample_matrix(2000, 4000, "rademacher", 81)
@@ -740,7 +750,7 @@ class TestTraceProbes:
     ])
     def test_lhs_matches_eigh_reference(self, n, d, lams, spread):
         eigs = np.logspace(-3.0, 1.0, d) if spread else None
-        inst = small_instance(n=n, d=d, seed=n + d, eigs=eigs)
+        inst = small_instance(d=d, seed=n + d, eigs=eigs)
         x = build_design(inst, sample_matrix(n, d, "rademacher", n * d))
         q, e = inst.sigma_basis, inst.sigma_eigs
         sym = sample_matrix(d, d, "gaussian", 5)
@@ -770,7 +780,7 @@ class TestTraceProbes:
         # Sigma's eigenbasis every equivalent is a sum over the two atoms.
         n, d = 60, 100
         atoms, mass = np.array([1.0, 4.0]), np.array([d / 2, d / 2])
-        inst = small_instance(n=n, d=d, seed=17, eigs=np.repeat(atoms, d // 2))
+        inst = small_instance(d=d, seed=17, eigs=np.repeat(atoms, d // 2))
         x = (sample_matrix(n, d, "gaussian", 18) @ inst.sigma_basis) * np.sqrt(inst.sigma_eigs)
         [probes] = probe_trace_equivalents(inst, x, inst.sigma_eigs, np.ones(d), [lam])
 
@@ -799,7 +809,7 @@ class TestTraceProbes:
     def test_vector_operands_match_diagonal_matrices(self, n, d):
         # A d-vector stands for the diagonal matrix it spans, alone or next to
         # a matrix, in the traces and in their equivalents alike.
-        inst = small_instance(n=n, d=d, seed=31)
+        inst = small_instance(d=d, seed=31)
         x = sample_matrix(n, d, "gaussian", 32)
         sym = sample_matrix(d, d, "gaussian", 33)
         u, v = np.linspace(0.5, 2.0, d), inst.sigma_eigs
@@ -815,7 +825,7 @@ class TestTraceProbes:
     @pytest.mark.parametrize("which", ["A", "B"])
     def test_rejects_bad_operands(self, which):
         n, d = 20, 30
-        inst = small_instance(n=n, d=d, seed=34)
+        inst = small_instance(d=d, seed=34)
         x = sample_matrix(n, d, "gaussian", 35)
         ones = np.ones(d)
         for bad in (np.ones(d - 1), np.eye(d + 1), np.where(np.arange(d) == 3, np.nan, 1.0),
@@ -854,14 +864,14 @@ def test_one_shifted_solve_per_draw(monkeypatch):
 
     draws = []
     for n, d in ((30, 50), (50, 30)):
-        probe_inst = small_instance(n=n, d=d, seed=91)
+        probe_inst = small_instance(d=d, seed=91)
         probe_x = build_design(probe_inst, sample_matrix(n, d, "rademacher", 92))
         draws.append((probe_inst, probe_x @ probe_inst.sigma_basis))
     monkeypatch.setattr(emp, "solve_shifted", counting_solve)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(emp.ProblemInstance, "covariance", no_dense_covariance)
     for n, d in ((8, 13), (13, 8)):
-        inst = small_instance(n=n, d=d, seed=93)
+        inst = small_instance(d=d, seed=93)
         x = build_design(inst, sample_matrix(n, d, "gaussian", 94))
         for lam in (0.0, 0.5):
             before = calls["solve_shifted"]

@@ -76,6 +76,9 @@ class TestSolveShifted:
         bad[0, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             solve_shifted(bad, 1.0, np.ones(2))
+        for shift in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                solve_shifted(np.eye(2), shift, np.ones(2))
 
 
 def old_eigh_pseudo_inverse(design, tol=1e-12):

@@ -45,13 +45,13 @@ def random_tiny_instance(seed, max_dim=8):
     theta = rng.standard_normal(d)
     sigma_noise = float(rng.uniform(0.3, 1.5))
     inst = ProblemInstance(
-        n=n, sigma_noise=sigma_noise, sigma_eigs=eigs, signal_coords=q.T @ theta, basis=q
+        sigma_noise=sigma_noise, sigma_eigs=eigs, signal_coords=q.T @ theta, basis=q
     )
-    return inst, rng
+    return inst, n, rng
 
 
 def epsilon_oracle(inst, coef_map, offset, rng, n_draws=100_000):
-    eps = rng.standard_normal((n_draws, inst.n)) * inst.sigma_noise
+    eps = rng.standard_normal((n_draws, coef_map.shape[1])) * inst.sigma_noise
     dev = (offset - inst.theta_star)[None, :] + eps @ coef_map.T
     risks = np.einsum("ij,ij->i", dev, dev @ inst.covariance())
     return float(risks.mean()), float(risks.std() / np.sqrt(n_draws))
@@ -98,8 +98,8 @@ def test_cross_estimator_limits(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_conditional_risks_match_noise_sampling(seed):
-    inst, rng = random_tiny_instance(seed)
-    z = sample_matrix(inst.n, inst.d, "gaussian", 3000 + seed)
+    inst, n, rng = random_tiny_instance(seed)
+    z = sample_matrix(n, inst.d, "gaussian", 3000 + seed)
     x = build_design(inst, z)
 
     for lam in (0.0, 0.1, 1.0):
@@ -108,13 +108,13 @@ def test_conditional_risks_match_noise_sampling(seed):
             coef_map = np.linalg.pinv(x)
         else:
             coef_map = np.linalg.solve(
-                x.T @ x + inst.n * lam * np.eye(inst.d), x.T
+                x.T @ x + n * lam * np.eye(inst.d), x.T
             )
         offset = coef_map @ (x @ inst.theta_star)
         mc, se = epsilon_oracle(inst, coef_map, offset, rng)
         assert bias + variance == pytest.approx(mc, abs=4 * se + 1e-12)
 
-    m = int(rng.integers(1, min(inst.n, inst.d) + 1))
+    m = int(rng.integers(1, min(n, inst.d) + 1))
     s_mat = sample_matrix(inst.d, m, "gaussian", 4000 + seed)
     bias, variance = conditional_risk_projected(inst, z, s_mat)
     coef_map = s_mat @ np.linalg.pinv(x @ s_mat)
@@ -131,7 +131,7 @@ def test_surjective_projection_collapses_to_ols(seed):
     m = int(rng.integers(d, d + 5))
     q = np.linalg.qr(rng.standard_normal((d, d)))[0]
     inst = ProblemInstance(
-        n=n, sigma_noise=1.0, sigma_eigs=rng.uniform(0.3, 2.0, size=d),
+        sigma_noise=1.0, sigma_eigs=rng.uniform(0.3, 2.0, size=d),
         signal_coords=q.T @ rng.standard_normal(d), basis=q,
     )
     z = sample_matrix(n, d, "gaussian", 6000 + seed)

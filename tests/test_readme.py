@@ -40,10 +40,15 @@ def test_every_block_closes():
     assert sum(lang == "python" for _, lang, _, _ in BLOCKS) >= 3
 
 
+PYTHON_BLOCKS = [(start, source) for start, lang, source, _ in BLOCKS if lang == "python"]
+
+
+# Each case is named by its ordinal among the python blocks, so that an
+# edit above a block does not rename its test.
 @pytest.mark.parametrize(
     "start, source",
-    [pytest.param(start, source, id=f"line-{start}")
-     for start, lang, source, _ in BLOCKS if lang == "python"],
+    [pytest.param(start, source, id=f"block-{k}")
+     for k, (start, source) in enumerate(PYTHON_BLOCKS, start=1)],
 )
 def test_python_block_runs(start, source, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

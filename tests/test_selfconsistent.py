@@ -3,9 +3,6 @@ import pytest
 
 from ddlab import selfconsistent
 from ddlab.selfconsistent import (
-    REGIME_CRITICAL,
-    REGIME_OVER,
-    REGIME_UNDER,
     kappa_at_dof,
     kappa_isotropic_closed,
     kappa_of_lambda,
@@ -41,14 +38,12 @@ class TestKappaOfLambda:
         s = make_isotropic(1000, 1.0)
         sol = kappa_of_lambda(s, 500, 0.0)
         assert sol.kappa == pytest.approx(1.0, abs=1e-10)
-        assert sol.regime == REGIME_OVER
         assert not sol.diverged
 
     def test_underparam_zero(self):
         s = make_isotropic(500, 1.0)
         sol = kappa_of_lambda(s, 1000, 0.0)
         assert sol.kappa == 0.0
-        assert sol.regime == REGIME_UNDER
 
     def test_large_lambda_asymptote(self):
         # kappa approaches lambda + gamma * sigma for large lambda.
@@ -81,7 +76,6 @@ class TestKappaOfLambda:
         s = make_isotropic(64, 2.0)
         sol = kappa_of_lambda(s, 64, 0.0)
         assert sol.kappa == 0.0
-        assert sol.regime == REGIME_CRITICAL
         assert sol.diverged
 
     def test_rejects_bad_arguments(self):

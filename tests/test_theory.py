@@ -90,6 +90,11 @@ class TestFixedDesign:
         with pytest.raises(ValueError):
             fixed_design_ridge_risk(s, v, 4, 1.0, 0.0)
 
+    def test_infinite_lambda_rejected(self):
+        s = make_isotropic(10, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            fixed_design_ridge_risk(s, uniform_signal(s), 5, 1.0, math.inf)
+
 
 class TestRidge:
     def test_infinite_shrinkage_total_signal(self):
@@ -137,7 +142,7 @@ class TestMinNorm:
         v = uniform_signal(s)
         br = minnorm_risk(s, v, 500, 1.0)
         assert br.kappa == pytest.approx(1.0, abs=1e-10)
-        assert br.df2_at_kappa == pytest.approx(250.0, rel=1e-10)
+        assert df2(s, br.kappa) == pytest.approx(250.0, rel=1e-10)
         assert br.variance == pytest.approx(1.0, rel=1e-10)
 
     def test_noiseless_overparam(self):
