@@ -33,14 +33,12 @@ def fenced_blocks(text: str) -> list[tuple[int, str, str, bool]]:
 
 
 BLOCKS = fenced_blocks(README.read_text(encoding="utf-8"))
+PYTHON_BLOCKS = [(start, source) for start, lang, source, _ in BLOCKS if lang == "python"]
 
 
 def test_every_block_closes():
     assert [start for start, _, _, closed in BLOCKS if not closed] == []
-    assert sum(lang == "python" for _, lang, _, _ in BLOCKS) >= 3
-
-
-PYTHON_BLOCKS = [(start, source) for start, lang, source, _ in BLOCKS if lang == "python"]
+    assert len(PYTHON_BLOCKS) >= 3
 
 
 # Each case is named by its ordinal among the python blocks, so that an
