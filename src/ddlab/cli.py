@@ -60,6 +60,12 @@ from .theory import RiskBreakdown, ridge_risk, rp_risk
 # Raw replication stream, one row per retained (grid point, replication).
 REPLICATION_CSV_COLUMNS = ["grid_index", "m_or_lambda", "rep_index", "bias", "variance", "kappa_hat"]
 
+# The fig2 study: d = gamma n, half the directions at each of two
+# eigenvalues; its .meta.json describes the run from these constants.
+FIG2_GAMMA = 2
+FIG2_ATOMS = (1.0, 4.0)
+FIG2_SPECTRUM = f"two atoms at {FIG2_ATOMS[0]:g} and {FIG2_ATOMS[1]:g}, equal halves"
+FIG2_SIGMA_NOISE = 1.0
 FIG2_DELTAS = (0.2, 0.4, 0.6, 0.8, 1.4, 2.0, 3.0)
 FIG2_N_VALUES = (10, 100, 1000)
 FIG2_REALIZATIONS = 10
@@ -292,13 +298,13 @@ _PRESET_ASSUMPTIONS = {
 
 
 def fig2_theory_measures(n: int) -> tuple[Spectrum, SignalMeasure]:
-    """Limit measures for the two-atom convergence study at gamma = 2.
+    """Limit measures for the two-atom convergence study at FIG2_GAMMA.
 
     Signal mass is spread uniformly over eigendirections and scaled to unit
     signal strength, the same normalization the sampled instances use.
     """
-    d = 2 * n
-    spec = make_two_dirac(d, 0.5, 1.0, 4.0)
+    d = FIG2_GAMMA * n
+    spec = make_two_dirac(d, 0.5, *FIG2_ATOMS)
     return spec, SignalMeasure(masses=(spec.weights / d) / (spec.trace / d))
 
 
@@ -323,7 +329,7 @@ def run_fig2(n_values=FIG2_N_VALUES, deltas=FIG2_DELTAS, realizations: int = FIG
 
         def realization(r: int):
             seed = functools.partial(child_seed, FIG2_MASTER_SEED, n, r)
-            inst = seeded_instance(1.0, eigs, seed(2), seed(3))
+            inst = seeded_instance(FIG2_SIGMA_NOISE, eigs, seed(2), seed(3))
             z = sample_matrix(n, inst.d, FIG2_SAMPLER, seed(0))
             x = build_design(inst, z) if any(m >= n for m in ms) else None
             return [
@@ -332,7 +338,7 @@ def run_fig2(n_values=FIG2_N_VALUES, deltas=FIG2_DELTAS, realizations: int = FIG
             ]
 
         draws = map_draws(realization, range(realizations))
-        theory = rp_risk(spec_th, signal_th, n, ms, 1.0)
+        theory = rp_risk(spec_th, signal_th, n, ms, FIG2_SIGMA_NOISE)
         rows, gaps = [], []
         for j, (delta, m, br) in enumerate(zip(deltas, ms, theory)):
             agg, kept = summarize_point(m, [per_real[j] for per_real in draws])
@@ -594,9 +600,9 @@ def _cmd_reproduce(args) -> int:
             out_dir / "fig2.meta.json",
             {
                 "preset": "fig2",
-                "gamma": 2.0,
-                "spectrum": "two atoms at 1 and 4, equal halves",
-                "sigma_noise": 1.0,
+                "gamma": float(FIG2_GAMMA),
+                "spectrum": FIG2_SPECTRUM,
+                "sigma_noise": FIG2_SIGMA_NOISE,
                 "deltas": list(FIG2_DELTAS),
                 "realizations": FIG2_REALIZATIONS,
                 "convergence_summary": {str(k): v for k, v in summary.items()},

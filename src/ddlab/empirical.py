@@ -7,7 +7,10 @@ draw an n x d unit-variance matrix Z, whose design is X = Z Sigma^(1/2),
 and a projection, and evaluate the excess risk conditionally on them,
 exactly in the noise (the noise expectation is carried out in closed
 form, never sampled).  Both conditional risks are scored in Sigma^(1/2)
-coordinates, so a draw reads Sigma^(1/2) and never the eigenbasis.  All
+coordinates, so a draw reads Sigma^(1/2) and never the eigenbasis.  A
+seeded eigenbasis is the Q factor of a seeded Gaussian matrix, accumulated
+from its raw Householder factors.  The trace probes ask for one shifted
+inverse per penalty and form each of their n x n sandwiches once.  All
 sampling is seed-pure: samplers take explicit seeds and no global RNG state
 is touched, so replications can run concurrently and merge
 deterministically.
@@ -26,7 +29,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import SweepConfig
-from .numkernel import NumericalError, as_sym_matrix, pseudo_inverse, solve_shifted
+from .numkernel import (
+    NumericalError, as_sym_matrix, householder_q, pseudo_inverse, solve_shifted,
+)
 from .selfconsistent import kappa_of_lambda
 from .spectrum import SignalMeasure, Spectrum, df2, spectrum_for, spectrum_from_json
 
@@ -122,9 +127,11 @@ def sample_matrix(rows: int, cols: int, sampler: str, seed: int) -> np.ndarray:
 def seeded_basis(d: int, seed: int) -> np.ndarray:
     """Seeded uniformly random d x d orthogonal matrix: the Q factor of a
     seeded Gaussian draw G = QR, column signs fixed by the diagonal of R.
-    G and R are freed when it returns."""
-    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
-    q *= np.sign(np.diag(r))[None, :]
+    Q is accumulated from the raw Householder factors of G, whose diagonal
+    is R's; neither G nor R is formed beside them."""
+    raw, tau = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)), mode="raw")
+    q = householder_q(raw, tau)
+    q *= np.sign(np.diagonal(raw))
     return q
 
 
@@ -513,31 +520,71 @@ def _probe_pair(m, p, s) -> tuple[float, float]:
     return float(np.trace(mp)), float(np.sum(mp * _times(m, s).T))
 
 
-def _kernel_sandwiches(xq, a, b, inv_root) -> list[np.ndarray]:
-    """C_a = X~ a X~', C_b = X~ b X~' and C_ab = (X~ a)(X~ b)' of the draw X~,
-    then K_a and K_b, the first two with X~ scaled by e^(-1/2)."""
-    xa, xb = _times(xq, a), _times(xq, b)
-    sandwiches = [xa @ xq.T, xb @ xq.T, xa @ xb.T]
-    del xa, xb
-    xw = xq * inv_root
-    return sandwiches + [_times(xw, a) @ xw.T, _times(xw, b) @ xw.T]
+def _kernel_sandwiches(xq, a, b, e) -> list[np.ndarray]:
+    """The Gram X~X~', C_a = X~ a X~', C_b = X~ b X~' and C_ab = (X~ a)(X~ b)'
+    of the draw X~, then K_a and K_b, the first two with X~ scaled by
+    e^(-1/2).
+
+    A vector operand's sandwiches are X~ diag(w) X~' for the weight vectors
+    w = a, b, a b, a/e, b/e and 1 (the Gram), each formed once per distinct
+    w, so for A = Sigma and B = I three are formed.  With w >= 0 it is
+    s s' for s = X~ w^(1/2), a symmetric rank-k update.  A matrix operand's
+    sandwiches are plain products.
+    """
+    formed = []
+
+    def weighted(w):
+        for seen, sandwich in formed:
+            if np.array_equal(seen, w):
+                return sandwich
+        if (w >= 0).all():
+            root = xq * np.sqrt(w)
+            sandwich = root @ root.T
+        else:
+            sandwich = (xq * w) @ xq.T
+        formed.append((w, sandwich))
+        return sandwich
+
+    gram = weighted(np.ones(xq.shape[1]))
+    if a.ndim == b.ndim == 1:
+        c_a, c_b, c_ab = weighted(a), weighted(b), weighted(a * b)
+    else:
+        xa, xb = _times(xq, a), _times(xq, b)
+        c_a, c_b = (weighted(p) if p.ndim == 1 else xp @ xq.T for p, xp in ((a, xa), (b, xb)))
+        c_ab = xa @ xb.T
+        del xa, xb
+    xw = xq * (1.0 / np.sqrt(e)) if a.ndim == 2 or b.ndim == 2 else None
+    k_a, k_b = (weighted(p / e) if p.ndim == 1 else (xw @ p) @ xw.T for p in (a, b))
+    return [gram, c_a, c_b, c_ab, k_a, k_b]
 
 
-def _kernel_side_traces(gram, sandwiches, tr_a, inner, lam) -> tuple[float, ...]:
+def _kernel_side_traces(sandwiches, tr_a, inner, lam) -> tuple[float, ...]:
     """The six probe traces at one penalty for d > n, from n x n matrices only.
 
     With G = (XX' + n lam I)^-1 the shrinkage is W = X~' G X~, so each trace
-    is one of G against the sandwiches; the resolvent is (I - W)/lam, with
-    tr a and <a, b> for its identity part.
+    is one of G against the sandwiches: a linear one is <G, C>, and a
+    quadratic one sums the entries of (G C_a) o (G C_b)', each product G C
+    formed once for sandwiches shared between the pairs.  The resolvent is
+    (I - W)/lam, with tr a and <a, b> for its identity part.
     """
-    c_a, c_b, c_ab, k_a, k_b = sandwiches
-    n = gram.shape[0]
-    g = solve_shifted(gram, n * lam, np.eye(n))
-    lin, quad = _probe_pair(g, c_a, c_b)
-    cross = float(np.sum(g * c_ab))
+    gram, c_a, c_b, c_ab, k_a, k_b = sandwiches
+    g = solve_shifted(gram, gram.shape[0] * lam)
+    products = []
+
+    def times_g(c):
+        for seen, product in products:
+            if seen is c:
+                return product
+        products.append((c, g @ c))
+        return products[-1][1]
+
+    def pair(p, s):
+        return float(np.vdot(g, p)), float(np.sum(times_g(p) * times_g(s).T))
+
+    lin, quad = pair(c_a, c_b)
+    cross = float(np.vdot(g, c_ab))
     return (
-        lin, quad, (tr_a - lin) / lam, (inner - 2.0 * cross + quad) / lam**2,
-        *_probe_pair(g, k_a, k_b),
+        lin, quad, (tr_a - lin) / lam, (inner - 2.0 * cross + quad) / lam**2, *pair(k_a, k_b),
     )
 
 
@@ -554,7 +601,7 @@ def _feature_side_traces(gram, n, a, b, inv_root, lam) -> tuple[float, ...]:
     sides.
     """
     d = gram.shape[0]
-    r = solve_shifted(gram, n * lam, np.eye(d))
+    r = solve_shifted(gram, n * lam)
     w = r @ gram
     r *= n
     gap = -lam * r
@@ -620,14 +667,12 @@ def probe_trace_equivalents(
                 (f"{name}_quadratic", quad_scale * quad),
             ]
         rhs.append(row)
-    inv_root = 1.0 / np.sqrt(e)
     if d > n:
         tr_a, inner = float(np.sum(_diagonal(a))), _trace_product(a, b)
-        sandwiches = _kernel_sandwiches(xq, a, b, inv_root)
-        gram = xq @ xq.T
-        lhs = [_kernel_side_traces(gram, sandwiches, tr_a, inner, lam) for lam in lams]
+        sandwiches = _kernel_sandwiches(xq, a, b, e)
+        lhs = [_kernel_side_traces(sandwiches, tr_a, inner, lam) for lam in lams]
     else:
-        gram = xq.T @ xq
+        gram, inv_root = xq.T @ xq, 1.0 / np.sqrt(e)
         lhs = [_feature_side_traces(gram, n, a, b, inv_root, lam) for lam in lams]
     return [
         [TraceProbe(name, lv, rv) for (name, rv), lv in zip(rhs_row, lhs_row, strict=True)]

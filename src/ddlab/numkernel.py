@@ -1,10 +1,12 @@
 """Dense symmetric linear-algebra kernels.
 
 The Monte Carlo risks and probes reduce to two primitives: shifted
-positive-definite solves with symmetric matrices, and Moore-Penrose
-pseudo-inverses with their numerical rank.  All functions are pure and
-operate on plain float64 ndarrays; there is no shared state, so they are
-safe to call from multiple threads.
+positive-definite solves with symmetric matrices (or the shifted inverse
+itself), and Moore-Penrose pseudo-inverses with their numerical rank.  A
+third kernel forms the orthogonal factor of a QR factorization from its
+raw Householder reflectors, for the seeded eigenbases.  All functions are
+pure and operate on plain float64 ndarrays; there is no shared state, so
+they are safe to call from multiple threads.
 """
 
 from __future__ import annotations
@@ -65,23 +67,31 @@ def _lower_inverse(low: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_shifted(a, shift: float, rhs) -> np.ndarray:
-    """Solve (a + shift*I) x = rhs for SPD a + shift*I.
+def solve_shifted(a, shift: float, rhs=None) -> np.ndarray:
+    """Solve (a + shift*I) x = rhs for SPD a + shift*I; with no rhs, return
+    the inverse (a + shift*I)^-1.
 
     Accepts a vector or matrix right-hand side and returns the same shape.
-    One step of iterative refinement keeps the residual at roundoff level
-    even for badly conditioned systems.
+    Iterative refinement, usually one pass and at most three, keeps the
+    residual at roundoff level even for badly conditioned systems; the
+    inverse is refined as the solution for rhs = I.
 
-    The solve applies the inverse of numpy's Cholesky factor L twice,
-    x = L^-T (L^-1 rhs), on numpy's OpenBLAS, the only BLAS ddlab loads.
+    The solve applies the inverse F of numpy's Cholesky factor L twice,
+    x = F' (F rhs), on numpy's OpenBLAS, the only BLAS ddlab loads; the
+    inverse is F'F, one symmetric product.
     """
     a = as_sym_matrix(a)
     if not 0 <= shift < math.inf:
         raise ValueError(f"shift must be finite and nonnegative, got {shift}")
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != a.shape[0]:
-        raise ValueError(f"rhs has leading dimension {rhs.shape[0]}, expected {a.shape[0]}")
-    shifted = a if shift == 0 else a + shift * np.eye(a.shape[0])
+    k = a.shape[0]
+    if rhs is not None:
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape[0] != k:
+            raise ValueError(f"rhs has leading dimension {rhs.shape[0]}, expected {k}")
+    shifted = a
+    if shift != 0:
+        shifted = a.copy()
+        shifted.flat[:: k + 1] += shift
     try:
         factor_inv = _lower_inverse(np.linalg.cholesky(shifted))
     except np.linalg.LinAlgError:
@@ -91,11 +101,19 @@ def solve_shifted(a, shift: float, rhs) -> np.ndarray:
             f"(smallest eigenvalue estimate {min_eig:.3e})",
             min_eigenvalue=min_eig,
         ) from None
-    x = factor_inv.T @ (factor_inv @ rhs)
-    # Iterative refinement: usually one pass, capped at three.
-    rhs_norm = float(np.linalg.norm(rhs))
+    if rhs is None:
+        x = factor_inv.T @ factor_inv
+        rhs_norm = math.sqrt(k)
+    else:
+        x = factor_inv.T @ (factor_inv @ rhs)
+        rhs_norm = float(np.linalg.norm(rhs))
     for _ in range(3):
-        resid = rhs - shifted @ x
+        if rhs is None:
+            resid = shifted @ x
+            np.negative(resid, out=resid)
+            resid.flat[:: k + 1] += 1.0
+        else:
+            resid = rhs - shifted @ x
         if float(np.linalg.norm(resid)) <= 1e-13 * max(rhs_norm, 1e-300):
             break
         x = x + factor_inv.T @ (factor_inv @ resid)
@@ -168,3 +186,40 @@ def _eigh_pseudo_inverse(
     if cols:
         return (v / w) @ (v.T @ design.T), int(keep.sum())
     return design.T @ ((v / w) @ v.T), int(keep.sum())
+
+
+# Reflectors per block when householder_q accumulates Q, and rows per
+# product when a block updates Q, which bounds that product's temporary.
+_REFLECTOR_BLOCK = 128
+_UPDATE_ROWS = 512
+
+
+def householder_q(raw: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The complete m x m orthogonal factor Q = H_1 ... H_k of a QR
+    factorization given as np.linalg.qr(a, mode="raw") = (raw, tau) for an
+    m x k input a, k <= m.
+
+    raw' holds LAPACK's reflectors below its diagonal (the diagonal and
+    above are R), and H_i = I - tau_i v_i v_i'.  Q is accumulated as LAPACK's
+    dorgqr does: from the identity, backward over blocks of reflectors, each
+    block applied to the trailing rows and columns as I - V T V', with the
+    upper-triangular T of the compact-WY form built by dlarft's recurrence.
+    A reflector with tau = 0 is the identity.
+    """
+    a = raw.T
+    m, k = a.shape
+    q = np.zeros((m, m))
+    q.flat[:: m + 1] = 1.0
+    for start in range(((k - 1) // _REFLECTOR_BLOCK) * _REFLECTOR_BLOCK, -1, -_REFLECTOR_BLOCK):
+        stop = min(start + _REFLECTOR_BLOCK, k)
+        v = np.tril(a[start:, start:stop], -1)
+        np.fill_diagonal(v, 1.0)
+        vtv = v.T @ v
+        t = np.zeros((stop - start, stop - start))
+        for i, tau_i in enumerate(tau[start:stop]):
+            t[i, i] = tau_i
+            t[:i, i] = -tau_i * (t[:i, :i] @ vtv[:i, i])
+        w = t @ (v.T @ q[start:, start:])
+        for row in range(0, m - start, _UPDATE_ROWS):
+            q[start + row:start + row + _UPDATE_ROWS, start:] -= v[row:row + _UPDATE_ROWS] @ w
+    return q

@@ -252,6 +252,36 @@ class TestMain:
         meta = json.loads((tmp_path / "f3" / "fig3.meta.json").read_text())
         assert meta["preset"] == "fig3"
 
+    def test_reproduce_fig2_meta_describes_the_run(self, tmp_path, monkeypatch):
+        import functools
+
+        import ddlab.cli as cli
+
+        noises = []
+
+        def recording_instance(sigma_noise, *args):
+            noises.append(sigma_noise)
+            return seeded_instance(sigma_noise, *args)
+
+        seeded_instance = cli.seeded_instance
+        monkeypatch.setattr(cli, "seeded_instance", recording_instance)
+        monkeypatch.setattr(cli, "run_fig2", functools.partial(
+            cli.run_fig2, n_values=(10,), deltas=(0.4, 2.0), realizations=2
+        ))
+        assert main(["reproduce", "fig2", "--out", str(tmp_path / "f2")]) == 0
+        text = (tmp_path / "f2" / "fig2.meta.json").read_text()
+        meta = json.loads(text)
+        spec, _ = cli.fig2_theory_measures(10)
+        assert spec.d == meta["gamma"] * 10
+        assert spec.eigenvalues.tolist() == list(cli.FIG2_ATOMS)
+        assert spec.weights.tolist() == [spec.d / 2] * 2
+        assert meta["spectrum"] == cli.FIG2_SPECTRUM
+        assert set(noises) == {meta["sigma_noise"]}
+        # The bytes the study's meta has always carried.
+        for line in ('"gamma": 2.0,', '"sigma_noise": 1.0,',
+                     '"spectrum": "two atoms at 1 and 4, equal halves"'):
+            assert line in text
+
     def test_usage_errors_exit_one(self, capsys, tmp_path, monkeypatch):
         assert main(["kappa", "--spectrum", "isotropic:1"]) == 1
         assert main(["theory", "--out", "x.csv"]) == 1

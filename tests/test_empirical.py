@@ -25,6 +25,7 @@ from ddlab.empirical import (
     seeded_instance,
 )
 from ddlab.empirical import _clamp
+from ddlab.numkernel import solve_shifted
 from ddlab.selfconsistent import kappa_at_dof, kappa_isotropic_closed
 from ddlab.spectrum import make_isotropic
 
@@ -263,17 +264,29 @@ class TestProblemInstance:
 
 
 def old_seeded_basis(d, seed):
-    """The seeded basis kernel: a full QR with the column signs fixed by
-    diag(R), kept as the reference the rotation must match."""
+    """The seeded basis kernel before the raw-factor route: numpy's
+    complete-mode QR with the column signs fixed by diag(R), kept as the
+    reference the basis must match."""
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
     q *= np.sign(np.diag(r))[None, :]
     return q
 
 
+def assert_same_basis(q, ref):
+    """The equivalence rule of the raw-factor basis: within 1e-14 of the
+    complete-QR reference, entry by entry, and orthonormal to 1e-13."""
+    np.testing.assert_allclose(q, ref, rtol=0.0, atol=1e-14)
+    gram = q.T @ q
+    gram.flat[:: q.shape[0] + 1] -= 1.0
+    assert np.abs(gram).max(initial=0.0) <= 1e-13
+
+
 class TestSeededRotation:
-    @pytest.mark.parametrize("d", [1, 2, 7, 64, 300])
+    # 128 reflectors make a block of the accumulation: d = 128 and 129 sit
+    # at a block edge, and the last reflector of every d has tau = 0.
+    @pytest.mark.parametrize("d", [1, 2, 7, 64, 128, 129, 300, 2000])
     def test_matrix_matches_old_kernel(self, d):
-        assert np.array_equal(seeded_basis(d, 5), old_seeded_basis(d, 5))
+        assert_same_basis(seeded_basis(d, 5), old_seeded_basis(d, 5))
 
     @pytest.mark.parametrize("d", [1, 2, 7, 64, 300])
     def test_seeded_instance_matches_old_kernel(self, d):
@@ -284,7 +297,7 @@ class TestSeededRotation:
         assert np.array_equal(inst.signal().masses, coords**2)
         assert inst.signal_strength() == pytest.approx(1.0, rel=1e-12)
         q = old_seeded_basis(d, 5)
-        assert np.array_equal(inst.sigma_basis, q)
+        assert_same_basis(inst.sigma_basis, q)
         np.testing.assert_allclose(inst.theta_star, q @ coords, rtol=1e-12)
 
     @pytest.mark.parametrize("signal_kind", ["random_gaussian_normalized", "aligned_file"])
@@ -360,7 +373,7 @@ class TestSeededRotation:
         assert len(seen) == 8 and all(b is seen[0] for b in seen)
         assert len(thetas) == 8 and all(t is thetas[0] for t in thetas)
         assert len(roots) == 8 and all(r is roots[0] for r in roots)
-        assert np.array_equal(seen[0], old_seeded_basis(64, 3))
+        assert_same_basis(seen[0], old_seeded_basis(64, 3))
         assert np.array_equal(thetas[0], seen[0] @ inst.signal_coords)
 
 
@@ -843,6 +856,108 @@ class TestTraceProbes:
                 probe_trace_equivalents(inst, x, np.eye(800), np.eye(800), lams)
 
 
+def old_kernel_sandwiches(xq, a, b, inv_root):
+    """The d > n sandwiches before each was formed once per weight vector:
+    C_a, C_b, C_ab, K_a and K_b as plain products, kept as the reference."""
+    def times(m, p):
+        return m * p if p.ndim == 1 else m @ p
+
+    xa, xb = times(xq, a), times(xq, b)
+    xw = xq * inv_root
+    return [xa @ xq.T, xb @ xq.T, xa @ xb.T, times(xw, a) @ xw.T, times(xw, b) @ xw.T]
+
+
+def old_kernel_probe_lhs(inst, xq, a, b, lams):
+    """The six probe traces per penalty as the kernels before the shifted
+    inverse computed them: a solve against the identity, every trace through
+    its own product G C.  Kept as the reference for both sides."""
+    def times(m, p):
+        return m * p if p.ndim == 1 else m @ p
+
+    def probe_pair(m, p, s):
+        mp = times(m, p)
+        return float(np.trace(mp)), float(np.sum(mp * times(m, s).T))
+
+    n, d = xq.shape
+    e = inst.sigma_eigs
+    inv_root = 1.0 / np.sqrt(e)
+    rows = []
+    for lam in lams:
+        if d > n:
+            c_a, c_b, c_ab, k_a, k_b = old_kernel_sandwiches(xq, a, b, inv_root)
+            g = solve_shifted(xq @ xq.T, n * lam, np.eye(n))
+            lin, quad = probe_pair(g, c_a, c_b)
+            cross = float(np.sum(g * c_ab))
+            diag_a, diag_b = (m if m.ndim == 1 else np.diagonal(m) for m in (a, b))
+            tr_a = float(np.sum(diag_a))
+            vector = a.ndim == 1 or b.ndim == 1
+            inner = float(np.sum(diag_a * diag_b)) if vector else float(np.sum(a * b.T))
+            rows.append((
+                lin, quad, (tr_a - lin) / lam, (inner - 2.0 * cross + quad) / lam**2,
+                *probe_pair(g, k_a, k_b),
+            ))
+            continue
+        gram = xq.T @ xq
+        r = solve_shifted(gram, n * lam, np.eye(d))
+        w = r @ gram
+        r *= n
+        gap = -lam * r
+        gap.flat[:: d + 1] += 1.0
+        gap -= w
+        w += gap @ w
+        traces = (*probe_pair(w, a, b), *probe_pair(r, a, b))
+        w *= inv_root[:, None]
+        w *= inv_root
+        rows.append((*traces, *probe_pair(w, a, b)))
+    return rows
+
+
+def probe_operand_pairs(inst, d):
+    """(a, b) pairs in Sigma's eigenbasis: A = Sigma with B = I, two
+    nonnegative vectors, a vector with a negative entry, a vector with a
+    matrix, and two matrices."""
+    e = inst.sigma_eigs
+    sym = sample_matrix(d, d, "gaussian", 7)
+    sym = sym + sym.T
+    signed = np.linspace(-0.5, 2.0, d)
+    return [
+        (e, np.ones(d)), (np.linspace(0.5, 2.0, d), e), (signed, np.ones(d)), (e, signed),
+        (e, sym), (sym, np.ones(d)), (sym, np.diag(e)),
+    ]
+
+
+class TestProbeKernelsAgainstOld:
+    @pytest.mark.parametrize("n, d", [(60, 100), (100, 60), (80, 80)])
+    def test_traces_match_old_kernel(self, n, d):
+        inst = small_instance(d=d, seed=n + 2 * d)
+        xq = (sample_matrix(n, d, "rademacher", d) @ inst.sigma_basis) * np.sqrt(inst.sigma_eigs)
+        lams = (1e-2, 0.1, 1.0)
+        for a, b in probe_operand_pairs(inst, d):
+            rows = probe_trace_equivalents(inst, xq, a, b, lams)
+            for row, ref in zip(rows, old_kernel_probe_lhs(inst, xq, a, b, lams), strict=True):
+                for p, want in zip(row, ref, strict=True):
+                    assert p.lhs == pytest.approx(want, rel=1e-10), (p.name, a.ndim, b.ndim)
+
+    def test_sandwiches_match_old_kernel(self):
+        from ddlab.empirical import _kernel_sandwiches
+
+        n, d = 40, 70
+        inst = small_instance(d=d, seed=5)
+        e = inst.sigma_eigs
+        xq = sample_matrix(n, d, "gaussian", 6) * np.sqrt(e)
+        for a, b in probe_operand_pairs(inst, d):
+            gram, *sandwiches = _kernel_sandwiches(xq, a, b, e)
+            assert np.array_equal(gram, xq @ xq.T)
+            for got, want in zip(sandwiches, old_kernel_sandwiches(xq, a, b, 1.0 / np.sqrt(e)),
+                                 strict=True):
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+        # A = Sigma and B = I weigh by e, 1 and 1/e: three sandwiches, each
+        # formed once and shared.
+        gram, c_a, c_b, c_ab, k_a, k_b = _kernel_sandwiches(xq, e, np.ones(d), e)
+        assert c_b is gram and k_a is gram and c_ab is c_a
+        assert len({id(gram), id(c_a), id(k_b)}) == 3
+
+
 def test_one_shifted_solve_per_draw(monkeypatch):
     import ddlab.empirical as emp
 
@@ -850,9 +965,9 @@ def test_one_shifted_solve_per_draw(monkeypatch):
     shapes = []
     solve, eigh = emp.solve_shifted, np.linalg.eigh
 
-    def counting_solve(a, shift, rhs):
+    def counting_solve(a, shift, rhs=None):
         calls["solve_shifted"] += 1
-        shapes.append((np.shape(a), np.shape(rhs)))
+        shapes.append((np.shape(a), None if rhs is None else np.shape(rhs)))
         return solve(a, shift, rhs)
 
     def counting_eigh(*args, **kwargs):
@@ -891,8 +1006,9 @@ def test_one_shifted_solve_per_draw(monkeypatch):
             probes = probe_trace_equivalents(probe_inst, probe_x, probe_inst.sigma_eigs, ones, lams)
             assert len(probes) == len(lams)
             assert calls == {"solve_shifted": len(lams), "eigh": 0}
-            # Every solve is on the smaller Gram matrix, with a square right-hand side.
-            assert shapes == [((side, side), (side, side))] * len(lams), probe_x.shape
+            # Every solve is on the smaller Gram matrix and asks for its
+            # shifted inverse, with no right-hand side.
+            assert shapes == [((side, side), None)] * len(lams), probe_x.shape
 
 
 class TestMapDraws:

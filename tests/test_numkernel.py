@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddlab.numkernel import IndefiniteMatrixError, pseudo_inverse, solve_shifted
+from ddlab.numkernel import IndefiniteMatrixError, householder_q, pseudo_inverse, solve_shifted
 
 
 def random_spd(dim, seed):
@@ -79,6 +79,38 @@ class TestSolveShifted:
         for shift in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 solve_shifted(np.eye(2), shift, np.ones(2))
+            with pytest.raises(ValueError, match="finite"):
+                solve_shifted(np.eye(2), shift)
+
+    @pytest.mark.parametrize("dim, shift", [(1, 0.5), (6, 0.0), (130, 1e-3), (200, 0.0), (200, 200.0)])
+    def test_inverse_without_rhs_matches_numpy(self, dim, shift):
+        rng = np.random.default_rng(dim)
+        z = rng.standard_normal((dim, 2 * dim))
+        a = z @ z.T / (2 * dim)
+        ref = np.linalg.inv(a + shift * np.eye(dim))
+        inverse = solve_shifted(a, shift)
+        np.testing.assert_allclose(inverse, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        assert np.array_equal(a, z @ z.T / (2 * dim))
+
+    def test_inverse_without_rhs_indefinite(self):
+        with pytest.raises(IndefiniteMatrixError) as err:
+            solve_shifted(np.diag([1.0, -2.0]), 1.0)
+        assert err.value.min_eigenvalue == pytest.approx(-1.0, abs=1e-10)
+
+
+class TestHouseholderQ:
+    @pytest.mark.parametrize("m, k", [(1, 1), (7, 7), (128, 128), (129, 129), (300, 300), (300, 130)])
+    def test_matches_complete_qr(self, m, k):
+        a = np.random.default_rng(m + k).standard_normal((m, k))
+        # At k = 300 the first 140 columns are upper triangular, so their
+        # reflectors have tau = 0 across the edge of the first 128-reflector
+        # block.  The last reflector of a square input has tau = 0 as well.
+        lead = 140 if k > 140 else 0
+        a[:, :lead] = np.triu(a[:, :lead])
+        raw, tau = np.linalg.qr(a, mode="raw")
+        assert (tau[:lead] == 0.0).all() and (m > k or tau[-1] == 0.0)
+        ref = np.linalg.qr(a, mode="complete")[0]
+        np.testing.assert_allclose(householder_q(raw, tau), ref, rtol=0.0, atol=1e-14)
 
 
 def old_eigh_pseudo_inverse(design, tol=1e-12):
