@@ -282,9 +282,10 @@ def assert_same_basis(q, ref):
 
 
 class TestSeededRotation:
-    # 128 reflectors make a block of the accumulation: d = 128 and 129 sit
-    # at a block edge, and the last reflector of every d has tau = 0.
-    @pytest.mark.parametrize("d", [1, 2, 7, 64, 128, 129, 300, 2000])
+    # Up to d = 1024 the basis is numpy's complete QR; d = 1025 and 2000 take
+    # the raw-factor route, and 1025 = 8 * 128 + 1 is one column past an edge
+    # of its 128-reflector blocks.  TestHouseholderQ covers small sizes.
+    @pytest.mark.parametrize("d", [1, 2, 7, 64, 128, 129, 300, 1025, 2000])
     def test_matrix_matches_old_kernel(self, d):
         assert_same_basis(seeded_basis(d, 5), old_seeded_basis(d, 5))
 
