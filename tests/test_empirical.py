@@ -857,7 +857,7 @@ class TestTraceProbes:
                 probe_trace_equivalents(inst, x, np.eye(800), np.eye(800), lams)
 
 
-def old_kernel_sandwiches(xq, a, b, inv_root):
+def reference_sandwiches(xq, a, b, inv_root):
     """The d > n sandwiches before each was formed once per weight vector:
     C_a, C_b, C_ab, K_a and K_b as plain products, kept as the reference."""
     def times(m, p):
@@ -868,7 +868,7 @@ def old_kernel_sandwiches(xq, a, b, inv_root):
     return [xa @ xq.T, xb @ xq.T, xa @ xb.T, times(xw, a) @ xw.T, times(xw, b) @ xw.T]
 
 
-def old_kernel_probe_lhs(inst, xq, a, b, lams):
+def reference_probe_lhs(inst, xq, a, b, lams):
     """The six probe traces per penalty as the kernels before the shifted
     inverse computed them: a solve against the identity, every trace through
     its own product G C.  Kept as the reference for both sides."""
@@ -885,7 +885,7 @@ def old_kernel_probe_lhs(inst, xq, a, b, lams):
     rows = []
     for lam in lams:
         if d > n:
-            c_a, c_b, c_ab, k_a, k_b = old_kernel_sandwiches(xq, a, b, inv_root)
+            c_a, c_b, c_ab, k_a, k_b = reference_sandwiches(xq, a, b, inv_root)
             g = solve_shifted(xq @ xq.T, n * lam, np.eye(n))
             lin, quad = probe_pair(g, c_a, c_b)
             cross = float(np.sum(g * c_ab))
@@ -927,19 +927,19 @@ def probe_operand_pairs(inst, d):
     ]
 
 
-class TestProbeKernelsAgainstOld:
+class TestProbeKernelsAgainstReference:
     @pytest.mark.parametrize("n, d", [(60, 100), (100, 60), (80, 80)])
-    def test_traces_match_old_kernel(self, n, d):
+    def test_traces_match_reference(self, n, d):
         inst = small_instance(d=d, seed=n + 2 * d)
         xq = (sample_matrix(n, d, "rademacher", d) @ inst.sigma_basis) * np.sqrt(inst.sigma_eigs)
         lams = (1e-2, 0.1, 1.0)
         for a, b in probe_operand_pairs(inst, d):
             rows = probe_trace_equivalents(inst, xq, a, b, lams)
-            for row, ref in zip(rows, old_kernel_probe_lhs(inst, xq, a, b, lams), strict=True):
+            for row, ref in zip(rows, reference_probe_lhs(inst, xq, a, b, lams), strict=True):
                 for p, want in zip(row, ref, strict=True):
                     assert p.lhs == pytest.approx(want, rel=1e-10), (p.name, a.ndim, b.ndim)
 
-    def test_sandwiches_match_old_kernel(self):
+    def test_sandwiches_match_reference(self):
         from ddlab.empirical import _kernel_sandwiches
 
         n, d = 40, 70
@@ -949,7 +949,7 @@ class TestProbeKernelsAgainstOld:
         for a, b in probe_operand_pairs(inst, d):
             gram, *sandwiches = _kernel_sandwiches(xq, a, b, e)
             assert np.array_equal(gram, xq @ xq.T)
-            for got, want in zip(sandwiches, old_kernel_sandwiches(xq, a, b, 1.0 / np.sqrt(e)),
+            for got, want in zip(sandwiches, reference_sandwiches(xq, a, b, 1.0 / np.sqrt(e)),
                                  strict=True):
                 np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
         # A = Sigma and B = I weigh by e, 1 and 1/e: three sandwiches, each
