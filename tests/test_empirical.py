@@ -263,10 +263,9 @@ class TestProblemInstance:
         assert np.array_equal(inst.signal_coords, np.ones(3))
 
 
-def old_seeded_basis(d, seed):
-    """The seeded basis kernel before the raw-factor route: numpy's
-    complete-mode QR with the column signs fixed by diag(R), kept as the
-    reference the basis must match."""
+def complete_qr_basis(d, seed):
+    """The reference every seeded basis must match: numpy's complete-mode QR
+    of the seeded Gaussian matrix, with the column signs fixed by diag(R)."""
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
     q *= np.sign(np.diag(r))[None, :]
     return q
@@ -281,23 +280,23 @@ def assert_same_basis(q, ref):
     assert np.abs(gram).max(initial=0.0) <= 1e-13
 
 
-class TestSeededRotation:
+class TestSeededBasis:
     # Up to d = 1024 the basis is numpy's complete QR; d = 1025 and 2000 take
     # the raw-factor route, and 1025 = 8 * 128 + 1 is one column past an edge
     # of its 128-reflector blocks.  TestHouseholderQ covers small sizes.
     @pytest.mark.parametrize("d", [1, 2, 7, 64, 128, 129, 300, 1025, 2000])
-    def test_matrix_matches_old_kernel(self, d):
-        assert_same_basis(seeded_basis(d, 5), old_seeded_basis(d, 5))
+    def test_matrix_matches_complete_qr(self, d):
+        assert_same_basis(seeded_basis(d, 5), complete_qr_basis(d, 5))
 
     @pytest.mark.parametrize("d", [1, 2, 7, 64, 300])
-    def test_seeded_instance_matches_old_kernel(self, d):
+    def test_seeded_instance_matches_complete_qr(self, d):
         eigs = np.sort(np.random.default_rng(d).uniform(0.1, 2.0, d))[::-1].copy()
         inst = seeded_instance(1.0, eigs, basis_seed=5, theta_seed=8)
         coords = np.random.default_rng(8).standard_normal(d)
         coords = coords / math.sqrt(float(eigs @ coords**2))
         assert np.array_equal(inst.signal().masses, coords**2)
         assert inst.signal_strength() == pytest.approx(1.0, rel=1e-12)
-        q = old_seeded_basis(d, 5)
+        q = complete_qr_basis(d, 5)
         assert_same_basis(inst.sigma_basis, q)
         np.testing.assert_allclose(inst.theta_star, q @ coords, rtol=1e-12)
 
@@ -374,7 +373,7 @@ class TestSeededRotation:
         assert len(seen) == 8 and all(b is seen[0] for b in seen)
         assert len(thetas) == 8 and all(t is thetas[0] for t in thetas)
         assert len(roots) == 8 and all(r is roots[0] for r in roots)
-        assert_same_basis(seen[0], old_seeded_basis(64, 3))
+        assert_same_basis(seen[0], complete_qr_basis(64, 3))
         assert np.array_equal(thetas[0], seen[0] @ inst.signal_coords)
 
 
