@@ -13,6 +13,7 @@ Schema violations raise ConfigError naming the offending field path.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -149,23 +150,12 @@ class SweepConfig:
         return "m" if self.m_grid else "lambda"
 
     def to_dict(self) -> dict:
-        doc = {
-            "n": self.n,
-            "d": self.d,
-            "sigma_noise": self.sigma_noise,
-            "spectrum": {"kind": self.spectrum_kind, "params": list(self.spectrum_params)},
-            "signal": {"kind": self.signal_kind, "seed": self.signal_seed},
-            "m_grid": list(self.m_grid),
-            "lambda_grid": list(self.lambda_grid),
-            "replications": self.replications,
-            "sampler": self.sampler,
-            "master_seed": self.master_seed,
-            "mode": self.mode,
-        }
-        if self.spectrum_path is not None:
-            doc["spectrum"]["path"] = self.spectrum_path
-        if self.signal_path is not None:
-            doc["signal"]["path"] = self.signal_path
+        """The schema's JSON object, with copies of the lists; a nested
+        ``path`` is written only when it is set."""
+        doc = {key: copy.copy(getattr(self, key)) for key in _TOP_FIELDS}
+        for obj, keys in _NESTED_FIELDS.items():
+            values = {key: copy.copy(getattr(self, f"{obj}_{key}")) for key in keys}
+            doc[obj] = {key: value for key, value in values.items() if value is not None}
         return doc
 
     def to_json(self) -> str:

@@ -24,7 +24,7 @@ import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,10 +59,6 @@ __all__ = [
     "guarded_draw",
     "projected_draw",
 ]
-
-# Negative risk values above this threshold are roundoff and clamped to zero;
-# anything below it is a genuine numerical failure.
-CLAMP_FLOOR = -1e-10
 
 THREADS_ENV_VAR = "DDLAB_THREADS"
 
@@ -715,10 +711,8 @@ class ReplicationResult:
 class GridAggregate:
     """Per-grid-point Monte Carlo summary."""
 
-    grid_value: float
     reps_used: int
     excluded: int
-    clamped: int
     bias_mean: float
     bias_std: float
     var_mean: float
@@ -729,51 +723,29 @@ class GridAggregate:
 class SweepEmpirical:
     """All replication results of a sweep plus per-point aggregates."""
 
-    grid_kind: str
     results: dict[tuple[int, int], ReplicationResult] = field(default_factory=dict)
     aggregates: list[GridAggregate] = field(default_factory=list)
 
 
-def _clamp(value: float) -> tuple[float, bool, bool]:
-    """Returns (clamped value, was_clamped, is_error)."""
-    if value >= 0.0:
-        return value, False, False
-    if value >= CLAMP_FLOOR:
-        return 0.0, True, False
-    return value, False, True
-
-
 def summarize_point(
-    grid_value: float, outcomes: list[ReplicationResult | None]
+    outcomes: list[ReplicationResult | None],
 ) -> tuple[GridAggregate, list[ReplicationResult]]:
     """Summarize one grid point's draws, in replication order.
 
-    ``None`` stands for a draw that raised a numerical failure.  It is
-    excluded and counted, and so is a draw with a risk below CLAMP_FLOOR.
-    Roundoff-negative risks are clamped to zero and counted.  Returns the
-    aggregate and the retained draws with their clamped values.
+    This is the one rule that decides which Monte Carlo draws count: a draw
+    counts if and only if it returned and both of its risks are >= 0.
+    ``None`` stands for a draw that raised a numerical failure.  Each risk
+    is a squared norm, so a negative one is a fault, and the comparison
+    also turns away a NaN.  Every other draw is excluded and counted.
+    Returns the aggregate and the retained draws.
     """
-    kept = []
-    excluded = clamped = 0
-    for res in outcomes:
-        if res is None:
-            excluded += 1
-            continue
-        bias, cb, eb = _clamp(res.bias)
-        variance, cv, ev = _clamp(res.variance)
-        if eb or ev:
-            excluded += 1
-            continue
-        clamped += int(cb) + int(cv)
-        kept.append(replace(res, bias=bias, variance=variance))
+    kept = [res for res in outcomes if res is not None and res.bias >= 0 and res.variance >= 0]
     used = len(kept)
     b = np.asarray([res.bias for res in kept])
     v = np.asarray([res.variance for res in kept])
     aggregate = GridAggregate(
-        grid_value=float(grid_value),
         reps_used=used,
-        excluded=excluded,
-        clamped=clamped,
+        excluded=len(outcomes) - used,
         bias_mean=float(b.mean()) if used else math.nan,
         bias_std=float(b.std(ddof=1)) if used > 1 else math.nan,
         var_mean=float(v.mean()) if used else math.nan,
@@ -816,12 +788,17 @@ def projected_draw(
     """Score the unit draw z, with its design x when the caller formed one,
     against a d x m projection drawn from ``seed``; with ``record_kappa``
     and m <= d, also estimate kappa from S' Sigma S = C'C, where the
-    C = Sigma^(1/2) S formed for it is handed on to the risk."""
+    C = Sigma^(1/2) S formed for it is handed on to the risk.  The estimate
+    is a diagnostic: where C'C is numerically singular it stays None (NA)
+    and the risk stands."""
     s = sample_matrix(inst.d, m, sampler, seed)
     c = kappa_hat = None
     if record_kappa and m <= inst.d:
         c = inst.sqrt_covariance() @ s
-        kappa_hat = empirical_kappa_m(c.T @ c)
+        try:
+            kappa_hat = empirical_kappa_m(c.T @ c)
+        except NumericalError:
+            pass
     bias, variance = conditional_risk_projected(inst, z, s, x=x, c=c)
     return ReplicationResult(rep_index, float(m), bias, variance, kappa_hat)
 
@@ -854,10 +831,10 @@ def run_replications(
     keys = [(gi, r) for gi in range(len(grid)) for r in range(config.replications)]
     outcomes = map_draws(lambda key: guarded_draw(one, *key), keys)
 
-    sweep = SweepEmpirical(grid_kind=grid_kind)
+    sweep = SweepEmpirical()
     reps = config.replications
-    for gi, value in enumerate(grid):
-        aggregate, kept = summarize_point(value, outcomes[gi * reps:(gi + 1) * reps])
+    for gi in range(len(grid)):
+        aggregate, kept = summarize_point(outcomes[gi * reps:(gi + 1) * reps])
         sweep.aggregates.append(aggregate)
         sweep.results.update(((gi, res.rep_index), res) for res in kept)
     return sweep

@@ -15,11 +15,6 @@ import math
 
 import numpy as np
 
-# Rank cutoff for pseudo-inverses, relative to the largest singular value.
-# Projected designs just above the interpolation threshold are genuinely
-# ill-conditioned, so only singular values near roundoff are cut.
-DEFAULT_RANK_TOL = 1e-12
-
 
 class NumericalError(RuntimeError):
     """A linear-algebra routine could not meet its accuracy contract."""
@@ -124,10 +119,10 @@ def pseudo_inverse(design) -> tuple[np.ndarray, int]:
     """Moore-Penrose pseudo-inverse through the smaller Gram matrix G.
 
     Returns (pinv, numerical_rank); pinv has shape (p, n) for an n x p input.
-    The cutoff drops singular values below DEFAULT_RANK_TOL times the
-    largest one; Gram eigenvalues at the machine-noise level eps * max(n, p)
-    relative to the top are always dropped, which is the resolution limit
-    of this route.
+    The rank cutoff is the resolution limit of this route: Gram eigenvalues
+    below eps * max(n, p) times the largest are dropped, so singular values
+    below sqrt(eps * max(n, p)) times the largest one are cut (about 2.1e-7
+    at max(n, p) = 200).
     An all-zero design has rank 0 and a zero pseudo-inverse.
 
     A Cholesky factor G = LL' gives the inverse directly when it certifies
@@ -141,7 +136,7 @@ def pseudo_inverse(design) -> tuple[np.ndarray, int]:
     n, p = design.shape
     cols = p <= n
     gram = design.T @ design if cols else design @ design.T
-    cutoff = max(DEFAULT_RANK_TOL**2, np.finfo(float).eps * max(n, p))
+    cutoff = np.finfo(float).eps * max(n, p)
     inverse = _certified_inverse(gram, cutoff)
     if inverse is None:
         return _eigh_pseudo_inverse(design, gram, cols, cutoff)

@@ -541,7 +541,8 @@ class TestFig2Driver:
             if k == 2:
                 draws.append(None)
                 raise RankDeficientDesignError("projected design lost rank")
-            bias = {0: -1e-6, 1: -1e-12}.get(k, bias)
+            bias = {1: -1e-12}.get(k, bias)
+            variance = {0: math.nan}.get(k, variance)
             draws.append((bias, variance))
             return bias, variance
 
@@ -550,13 +551,13 @@ class TestFig2Driver:
         monkeypatch.setenv("DDLAB_THREADS", "1")
         tables, summary = run_fig2(n_values=(10,), deltas=(0.4, 2.0), realizations=3)
         small, large = tables[10]
-        # A genuinely negative bias and a rank-deficient draw are excluded ...
+        # A NaN variance and a rank-deficient draw are excluded ...
         assert small.reps_used == 1
         assert small.bias_emp_mean == draws[4][0]
         assert math.isnan(small.bias_emp_std)
-        # ... and a roundoff-negative one is clamped to zero.
-        assert large.reps_used == 3
-        assert large.bias_emp_mean == pytest.approx(np.mean([0.0, draws[3][0], draws[5][0]]))
+        # ... and so is a negative bias, however small.
+        assert large.reps_used == 2
+        assert large.bias_emp_mean == pytest.approx(np.mean([draws[3][0], draws[5][0]]))
         assert all(math.isfinite(v) for v in summary[10].values())
 
     def test_thread_count_does_not_change_results(self, monkeypatch):

@@ -17,14 +17,15 @@ from ddlab.empirical import (
     conditional_risk_ridge,
     empirical_kappa_lambda,
     empirical_kappa_m,
+    guarded_draw,
     map_draws,
     probe_trace_equivalents,
+    projected_draw,
     run_replications,
     sample_matrix,
     seeded_basis,
     seeded_instance,
 )
-from ddlab.empirical import _clamp
 from ddlab.numkernel import solve_shifted
 from ddlab.selfconsistent import kappa_at_dof, kappa_isotropic_closed
 from ddlab.spectrum import make_isotropic
@@ -1087,8 +1088,6 @@ class TestRunReplications:
             sampler="gaussian", master_seed=5, mode="empirical",
         )
         sweep = self.run(cfg)
-        assert sweep.grid_kind == "lambda"
-        assert [a.grid_value for a in sweep.aggregates] == [0.1, 1.0]
         assert all(a.reps_used == 4 for a in sweep.aggregates)
         # More shrinkage, less variance.
         assert sweep.aggregates[1].var_mean < sweep.aggregates[0].var_mean
@@ -1150,8 +1149,24 @@ class TestRunReplications:
                 empirical_kappa_m(s.T @ sigma @ s), rel=1e-10, abs=0.0
             )
 
-    def test_clamp_rules(self):
-        assert _clamp(1.0) == (1.0, False, False)
-        assert _clamp(-5e-11) == (0.0, True, False)
-        value, clamped, error = _clamp(-1e-6)
-        assert value == -1e-6 and not clamped and error
+    def test_failed_kappa_estimate_keeps_the_draw(self, monkeypatch):
+        # A repeated column of S makes S' Sigma S singular, so the kappa
+        # estimate fails; at m > n the projected design still has its full
+        # rank n, and the draw's risk stands.
+        import ddlab.empirical as emp
+
+        inst = small_instance(d=12, seed=3)
+        z = sample_matrix(5, 12, "gaussian", 4)
+        draw_s = emp.sample_matrix
+
+        def repeated_column(rows, cols, sampler, seed):
+            s = draw_s(rows, cols, sampler, seed)
+            s[:, -1] = s[:, 0]
+            return s
+
+        monkeypatch.setattr(emp, "sample_matrix", repeated_column)
+        plain = guarded_draw(projected_draw, inst, z, 0, 8, "gaussian", 5)
+        recorded = guarded_draw(projected_draw, inst, z, 0, 8, "gaussian", 5, record_kappa=True)
+        assert plain is not None and recorded is not None
+        assert recorded.kappa_hat is None
+        assert (recorded.bias, recorded.variance) == (plain.bias, plain.variance)

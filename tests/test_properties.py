@@ -2,13 +2,17 @@
 
 Covers the solver bracketing and monotonicity bounds, the dof ordering, the
 cross-estimator consistency limits, noise-exactness of the conditional risk
-formulas against noise-sampling oracles on tiny instances, and the collapse
-of surjective projections onto ordinary least squares.
+formulas against noise-sampling oracles on tiny instances, the collapse
+of surjective projections onto ordinary least squares, and the sign of every
+conditional risk a draw returns next to the interpolation threshold.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ddlab.config import SAMPLERS
 from ddlab.empirical import (
     ProblemInstance,
     build_design,
@@ -16,6 +20,7 @@ from ddlab.empirical import (
     conditional_risk_ridge,
     sample_matrix,
 )
+from ddlab.numkernel import NumericalError
 from ddlab.selfconsistent import kappa_isotropic_closed, kappa_of_lambda
 from ddlab.spectrum import SignalMeasure, Spectrum, df1, df2
 from ddlab.theory import minnorm_risk, ridge_risk, rp_risk
@@ -144,3 +149,41 @@ def test_surjective_projection_collapses_to_ols(seed):
     assert var_p == pytest.approx(var_o, rel=1e-8)
     assert bias_p <= 1e-8 * max(1.0, inst.signal_strength())
     assert bias_o == 0.0
+
+
+def _instance(d, rng, spread):
+    """A tiny instance with eigenvalues spread over ``spread`` decades."""
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    return ProblemInstance(
+        sigma_noise=float(rng.uniform(0.3, 1.5)), sigma_eigs=10.0 ** -rng.uniform(0.0, spread, d),
+        signal_coords=rng.standard_normal(d), basis=q,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), d=st.integers(1, 12),
+    sampler=st.sampled_from(SAMPLERS), spread=st.floats(0.0, 6.0),
+)
+def test_returned_risks_are_nonnegative(seed, n, d, sampler, spread):
+    # Every conditional risk is a squared norm, so summarize_point counts a
+    # draw only when both of its risks are >= 0, and no roundoff band exists.
+    # Checked where the designs are worst conditioned: projections next to
+    # m = n and above 2n, and square ridge designs at no or a tiny penalty.
+    rng = np.random.default_rng(seed)
+    inst = _instance(d, rng, spread)
+    z = sample_matrix(n, d, sampler, seed)
+    risks = []
+    for m in (n - 1, n, n + 1, 2 * n + 1):
+        try:
+            risks += conditional_risk_projected(inst, z, sample_matrix(d, m, sampler, seed + m))
+        except (NumericalError, np.linalg.LinAlgError):
+            pass
+    square = _instance(n, rng, spread)
+    x = build_design(square, sample_matrix(n, n, sampler, seed + 1))
+    for lam in (0.0, 1e-12):
+        try:
+            risks += conditional_risk_ridge(square, x, lam)
+        except (NumericalError, np.linalg.LinAlgError):
+            pass
+    assert all(risk >= 0 for risk in risks), risks

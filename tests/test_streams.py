@@ -1,8 +1,13 @@
-"""tools/streams.py diff: the largest relative move per column of two stream directories."""
+"""tools/streams.py: its commands and inputs fit the CLI, and diff reports the
+largest relative move per column of two stream directories."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
+
+from ddlab import cli
+from ddlab.config import SweepConfig
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "streams.py"
 
@@ -46,3 +51,14 @@ def test_diff_reports_largest_move_per_column(tmp_path, capsys):
     assert "| cmd/out.csv | val | 0.2 | 2 |" in out
     assert out[-1] == "| other 1 files | | identical | 0 |"
     assert streams.main(["diff", str(a / "cmd"), str(a / "cmd")]) == 0
+
+
+def test_commands_parse_and_inputs_validate():
+    # A renamed flag or schema field would otherwise surface only as a broken
+    # stream diff.
+    streams = _load()
+    assert set(streams.INPUTS) <= {name for name, _ in streams.COMMANDS}
+    for name, argv in streams.COMMANDS:
+        args = cli.build_parser().parse_args(argv)
+        if getattr(args, "config", None):
+            SweepConfig.from_dict(json.loads(streams.INPUTS[name][args.config]))
