@@ -516,8 +516,6 @@ def _cmd_empirical(args) -> int:
     config = _config_from_args(args, mode=mode)
     if config.replications < 1:
         raise UsageError(f"--reps must be at least 1, got {config.replications}")
-    if args.record_kappa and config.grid_kind != "m":
-        raise UsageError("--record-kappa needs an m grid (--m-grid); it has no lambda-grid estimate")
     sweep = _emit_sweep(config, Path(args.out), record_kappa=args.record_kappa, assumptions={})
     if args.per_rep_out:
         write_replication_csv(args.per_rep_out, sweep)
@@ -645,7 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--per-rep-out", help="also write the raw replication stream CSV here")
     sub.add_argument(
         "--record-kappa", action="store_true",
-        help="record the per-draw projected-covariance kappa estimate (m grid only)",
+        help="record each draw's kappa estimate (from S'Sigma S on an m grid, "
+        "from the Gram matrix on a lambda grid)",
     )
     sub.set_defaults(handler=_cmd_empirical)
 

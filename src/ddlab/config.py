@@ -14,7 +14,6 @@ Schema violations raise ConfigError naming the offending field path.
 from __future__ import annotations
 
 import copy
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -157,9 +156,6 @@ class SweepConfig:
             values = {key: copy.copy(getattr(self, f"{obj}_{key}")) for key in keys}
             doc[obj] = {key: value for key, value in values.items() if value is not None}
         return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":

@@ -7,8 +7,9 @@ draw an n x d unit-variance matrix Z, whose design is X = Z Sigma^(1/2),
 and a projection, and evaluate the excess risk conditionally on them,
 exactly in the noise (the noise expectation is carried out in closed
 form, never sampled).  Both conditional risks are scored in Sigma^(1/2)
-coordinates, so a draw reads Sigma^(1/2) and never the eigenbasis.  A
-seeded eigenbasis is the Q factor of a seeded Gaussian matrix; at large d
+coordinates, so a draw reads Sigma^(1/2), or Sigma for a ridge draw at
+d > n, which forms no design, and never the eigenbasis.  A seeded
+eigenbasis is the Q factor of a seeded Gaussian matrix; at large d
 it is accumulated from the raw Householder factors.  The trace probes ask for one shifted
 inverse per penalty and form each of their n x n sandwiches once.  All
 sampling is seed-pure: samplers take explicit seeds and no global RNG state
@@ -58,6 +59,7 @@ __all__ = [
     "map_draws",
     "guarded_draw",
     "projected_draw",
+    "ridge_draw",
 ]
 
 THREADS_ENV_VAR = "DDLAB_THREADS"
@@ -155,9 +157,9 @@ class ProblemInstance:
     orthonormal matrix, checked here, or an integer seed of
     ``seeded_basis(d, seed)``, drawn and checked on first use.  The
     eigenvalues and u serve the signal measure and the signal strength, so
-    a theory-only sweep never forms Q.  (Q, theta_star), Sigma^(1/2) and
-    Sigma^(1/2) theta_star are each formed once, on first use.  Instances
-    are immutable.
+    a theory-only sweep never forms Q.  (Q, theta_star), Sigma,
+    Sigma^(1/2) and Sigma^(1/2) theta_star are each formed once, on first
+    use, and read-only.  Instances are immutable.
     """
 
     def __init__(self, sigma_noise: float, sigma_eigs, signal_coords, basis):
@@ -179,7 +181,7 @@ class ProblemInstance:
         eigs.flags.writeable = coords.flags.writeable = False
         self.__dict__.update(
             d=d, sigma_noise=sigma_noise, sigma_eigs=eigs, signal_coords=coords,
-            _basis=basis, _formed=None, _sqrt_cov=None, _root_signal=None,
+            _basis=basis, _formed=None, _cov=None, _sqrt_cov=None, _root_signal=None,
             _lock=threading.RLock(),
         )
 
@@ -216,9 +218,15 @@ class ProblemInstance:
 
     # -- covariance actions (never form Sigma unless asked) ----------------
 
+    def _form_cov(self) -> np.ndarray:
+        b = self.sigma_basis
+        cov = b @ (self.sigma_eigs[:, None] * b.T)
+        cov.flags.writeable = False
+        return cov
+
     def covariance(self) -> np.ndarray:
-        b, e = self.sigma_basis, self.sigma_eigs
-        return b @ (e[:, None] * b.T)
+        """Sigma = Q diag(e) Q', formed on first use; read-only."""
+        return self._once("_cov", self._form_cov)
 
     def _form_sqrt_cov(self) -> np.ndarray:
         b = self.sigma_basis
@@ -275,9 +283,10 @@ def _unit_draw(inst: ProblemInstance, z) -> np.ndarray:
 
 def build_design(inst: ProblemInstance, z: np.ndarray) -> np.ndarray:
     """Design matrix X = Z Sigma^(1/2) for a unit-variance draw Z.  Every
-    Monte Carlo design is formed here: the ridge draws' and the projected
-    draws' above m = 2n (conditional_risk_projected scores smaller
-    projections from Z alone)."""
+    Monte Carlo design is formed here: the ridge draws' at d <= n and the
+    projected draws' above m = 2n.  conditional_risk_ridge scores d > n
+    from Z Sigma, and conditional_risk_projected smaller projections from
+    Z alone."""
     return _unit_draw(inst, z) @ inst.sqrt_covariance()
 
 
@@ -419,50 +428,90 @@ def conditional_risk_projected(
     return _scored(inst, map_root, resid)
 
 
+def _ridge_gram(inst: ProblemInstance, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The smaller Gram matrix of the design X = Z Sigma^(1/2) of the unit
+    draw z, with the right-hand side of its ridge solve: for d > n,
+    XX' = Y Z' (symmetrized) and Y = Z Sigma, with no design formed; for
+    d <= n, X'X and X."""
+    z = _unit_draw(inst, z)
+    if inst.d > z.shape[0]:
+        y = z @ inst.covariance()
+        gram = y @ z.T
+        return 0.5 * (gram + gram.T), y
+    x = build_design(inst, z)
+    return x.T @ x, x
+
+
 def conditional_risk_ridge(
-    inst: ProblemInstance, X: np.ndarray, lam: float
+    inst: ProblemInstance, z: np.ndarray, lam: float, *,
+    formed: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, float]:
-    """Noise-exact (bias, variance) of ridge regression given the design.
+    """Noise-exact (bias, variance) of ridge regression on the design
+    X = Z Sigma^(1/2) of the unit-variance draw ``z``.
 
     The fit is theta_hat = P y with P = (X'X + n lam I)^-1 X', obtained from
     one shifted solve on the smaller Gram matrix; at lam = 0 it is the
-    min-norm interpolator.  When d > n, P = X'(XX' + n lam I)^-1 and the bias
-    comes from the residual P X theta - theta.  When d <= n the same solve
-    also yields g = (X'X + n lam I)^-1 theta, and the residual is -n lam g,
-    which does not cancel at small lam and gives an exact zero bias at
-    lam = 0.  Both are scored in Sigma^(1/2) coordinates, through one
-    d x d x n product with Sigma^(1/2).
+    min-norm interpolator.  The map is scored in Sigma^(1/2) coordinates,
+    where X theta = Z phi for phi = Sigma^(1/2) theta (cached on the
+    instance).
+
+    When d > n, P = X'(XX' + n lam I)^-1, and no design is formed.  With
+    Y = Z Sigma (Sigma cached on the instance), G = Y Z' = XX', and
+    G_lam = G + n lam I, the solve G_lam^-1 Y gives (Sigma^(1/2) P)' itself:
+    the variance is sigma^2 ||G_lam^-1 Y||_F^2 and the bias residual
+    (G_lam^-1 Y)' Z phi - phi, formed as a vector.  That is n d^2 for Y and
+    n^2 d for each of G, the solve and its residual check, and no d x d x n
+    product with Sigma^(1/2).  When d <= n, X = build_design(inst, z), and
+    the same solve also yields g = (X'X + n lam I)^-1 theta; the residual is
+    -n lam g, which does not cancel at small lam and gives an exact zero
+    bias at lam = 0.  That map is scored through one d x d x n product with
+    Sigma^(1/2).  ``formed``, when given, is the Gram matrix and right-hand
+    side that _ridge_gram(inst, z) returns, which ridge_draw reads first.
 
     Limitation: at d = n and lam = 0 the X'X solve squares the condition
     number of the square design, so the variance is good only to about
-    4e-12 relative (n = d = 30, against a full-SVD reference), against
-    about 1e-14 at every other shape and lam measured.
+    2e-13 relative in the median and 2e-11 at worst (20 Gaussian draws at
+    n = d = 30, against a full-SVD reference), against about 6e-15 at the
+    other shapes measured.
     """
     lam = float(lam)
     if not 0 <= lam < math.inf:
         raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
-    n = X.shape[0]
-    root = inst.sqrt_covariance()
+    z = _unit_draw(inst, z)
+    n = z.shape[0]
+    gram, side = _ridge_gram(inst, z) if formed is None else formed
     if inst.d > n:
-        map_root = root @ solve_shifted(X @ X.T, n * lam, X).T
-        resid = map_root @ (X @ inst.theta_star)
-        resid -= inst.root_signal()
-        return _scored(inst, map_root, resid)
-    sol = root @ solve_shifted(X.T @ X, n * lam, np.column_stack([X.T, inst.theta_star]))
+        # (Sigma^(1/2) P)' = G_lam^-1 Y has the Frobenius norm of the map.
+        map_t, phi = solve_shifted(gram, n * lam, side), inst.root_signal()
+        resid = (z @ phi) @ map_t
+        resid -= phi
+        return _scored(inst, map_t, resid)
+    sol = inst.sqrt_covariance() @ solve_shifted(
+        gram, n * lam, np.column_stack([side.T, inst.theta_star])
+    )
     g_sigma_g, variance = _scored(inst, sol[:, :n], sol[:, n])
     return (n * lam) ** 2 * g_sigma_g, variance
 
 
-def empirical_kappa_lambda(X: np.ndarray, n: int, lam: float) -> float:
-    """Finite-sample implicit regularization 1 / tr[(XX' + n lam I)^-1]."""
+def empirical_kappa_lambda(gram: np.ndarray, n: int, lam: float) -> float:
+    """Finite-sample implicit regularization 1 / tr[(XX' + n lam I)^-1] of
+    an n-row design X, from either of its Gram matrices: XX', or X'X when
+    that is smaller, whose n - d missing eigenvalues are zero.  Below rank n
+    at lam = 0 the trace is infinite and the estimate is 0.  Only the lower
+    triangle of ``gram`` is read."""
     lam = float(lam)
     if not 0 <= lam < math.inf:
         raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
-    kernel_eigs = np.linalg.eigvalsh(X @ X.T)
+    kernel_eigs = np.linalg.eigvalsh(gram)
+    missing = n - kernel_eigs.shape[0]
+    if missing < 0:
+        raise ValueError(f"Gram matrix of size {kernel_eigs.shape[0]} has more than n = {n} rows")
     shifted = kernel_eigs + n * lam
     if (shifted <= 0).any():
         raise NumericalError("kernel matrix plus shift is singular")
-    return float(1.0 / np.sum(1.0 / shifted))
+    if missing and lam == 0:
+        return 0.0
+    return float(1.0 / (np.sum(1.0 / shifted) + (missing / (n * lam) if missing else 0.0)))
 
 
 def empirical_kappa_m(projected: np.ndarray) -> float:
@@ -803,6 +852,24 @@ def projected_draw(
     return ReplicationResult(rep_index, float(m), bias, variance, kappa_hat)
 
 
+def ridge_draw(
+    inst: ProblemInstance, z: np.ndarray, rep_index: int, lam: float, record_kappa: bool = False,
+) -> ReplicationResult:
+    """Score the unit draw z at the penalty lam; with ``record_kappa``, also
+    estimate kappa from the Gram matrix of the draw's ridge solve, which is
+    then handed on to the risk.  As for projected_draw, the estimate is a
+    diagnostic: where it fails it stays None (NA) and the risk stands."""
+    formed = kappa_hat = None
+    if record_kappa:
+        formed = _ridge_gram(inst, z)
+        try:
+            kappa_hat = empirical_kappa_lambda(formed[0], z.shape[0], lam)
+        except NumericalError:
+            pass
+    bias, variance = conditional_risk_ridge(inst, z, lam, formed=formed)
+    return ReplicationResult(rep_index, float(lam), bias, variance, kappa_hat)
+
+
 def run_replications(
     config: SweepConfig, inst: ProblemInstance, record_kappa: bool = False
 ) -> SweepEmpirical:
@@ -825,8 +892,7 @@ def run_replications(
         if grid_kind == "m":
             s_seed = seed(_STREAM_S)
             return projected_draw(inst, z, r, int(value), config.sampler, s_seed, record_kappa)
-        bias, variance = conditional_risk_ridge(inst, build_design(inst, z), float(value))
-        return ReplicationResult(r, float(value), bias, variance)
+        return ridge_draw(inst, z, r, float(value), record_kappa)
 
     keys = [(gi, r) for gi in range(len(grid)) for r in range(config.replications)]
     outcomes = map_draws(lambda key: guarded_draw(one, *key), keys)

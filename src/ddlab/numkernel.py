@@ -71,9 +71,12 @@ def solve_shifted(a, shift: float, rhs=None) -> np.ndarray:
     residual at roundoff level even for badly conditioned systems; the
     inverse is refined as the solution for rhs = I.
 
-    The solve applies the inverse F of numpy's Cholesky factor L twice,
-    x = F' (F rhs), on numpy's OpenBLAS, the only BLAS ddlab loads; the
-    inverse is F'F, one symmetric product.
+    The shifted inverse is formed first, as F'F from the inverse F of
+    numpy's Cholesky factor L (one symmetric product), on numpy's OpenBLAS,
+    the only BLAS ddlab loads.  A solve applies it, x = (F'F) rhs, and so
+    does each refinement pass, x += (F'F) r: one product with the
+    right-hand side where F' (F rhs) takes two, which pays for forming F'F
+    once rhs has about k/2 columns, as every caller's has.
     """
     a = as_sym_matrix(a)
     if not 0 <= shift < math.inf:
@@ -96,11 +99,13 @@ def solve_shifted(a, shift: float, rhs=None) -> np.ndarray:
             f"(smallest eigenvalue estimate {min_eig:.3e})",
             min_eigenvalue=min_eig,
         ) from None
+    inverse = factor_inv.T @ factor_inv
+    del factor_inv
     if rhs is None:
-        x = factor_inv.T @ factor_inv
+        x = inverse
         rhs_norm = math.sqrt(k)
     else:
-        x = factor_inv.T @ (factor_inv @ rhs)
+        x = inverse @ rhs
         rhs_norm = float(np.linalg.norm(rhs))
     for _ in range(3):
         if rhs is None:
@@ -111,7 +116,7 @@ def solve_shifted(a, shift: float, rhs=None) -> np.ndarray:
             resid = rhs - shifted @ x
         if float(np.linalg.norm(resid)) <= 1e-13 * max(rhs_norm, 1e-300):
             break
-        x = x + factor_inv.T @ (factor_inv @ resid)
+        x = x + inverse @ resid
     return x
 
 

@@ -56,7 +56,7 @@ class TestConfig:
             replications=7, sampler="gaussian", master_seed=9, mode="both",
         )
         path = tmp_path / "cfg.json"
-        path.write_text(cfg.to_json())
+        path.write_text(json.dumps(cfg.to_dict(), indent=2))
         assert load_config(path) == cfg
 
     def test_schema_violation_names_field(self):
@@ -76,7 +76,7 @@ class TestConfig:
     def test_fig4_preset_file_round_trip(self, tmp_path):
         preset = preset_config("fig4")
         path = tmp_path / "fig4.json"
-        path.write_text(preset.to_json())
+        path.write_text(json.dumps(preset.to_dict(), indent=2))
         assert load_config(path) == preset
 
     @pytest.mark.parametrize("doc, field", [
@@ -465,14 +465,27 @@ class TestMain:
         for path in metas:
             assert json.loads(path.read_text())["artifact_version"] == ddlab.__version__
 
-    def test_record_kappa_on_lambda_grid_exit_one(self, tmp_path, capsys):
-        out = tmp_path / "ridge.csv"
-        assert main([
-            "empirical", "--n", "20", "--d", "40", "--lambda-grid", "0.1,1", "--reps", "2",
-            "--record-kappa", "--per-rep-out", str(tmp_path / "reps.csv"), "--out", str(out),
-        ]) == 1
-        assert "--record-kappa" in capsys.readouterr().err
-        assert not out.exists()
+    @pytest.mark.parametrize("d", [40, 12])
+    def test_record_kappa_on_lambda_grid_fills_kappa_hat(self, tmp_path, d):
+        # The estimate fills kappa_hat and moves no risk: the sweep CSV is
+        # byte-identical, and so is every other replication column.
+        runs = []
+        for flags in ((), ("--record-kappa",)):
+            out, reps = tmp_path / f"ridge{len(flags)}.csv", tmp_path / f"reps{len(flags)}.csv"
+            assert main([
+                "empirical", "--n", "20", "--d", str(d), "--lambda-grid", "0,0.1,1", "--reps", "2",
+                *flags, "--per-rep-out", str(reps), "--out", str(out),
+            ]) == 0
+            lines = reps.read_text().strip().splitlines()
+            runs.append((out.read_bytes(), [line.rsplit(",", 1) for line in lines[1:]]))
+        (plain_csv, plain_reps), (kappa_csv, kappa_reps) = runs
+        assert kappa_csv == plain_csv
+        assert [row[0] for row in kappa_reps] == [row[0] for row in plain_reps]
+        assert {row[1] for row in plain_reps} == {"NA"}
+        kappas = [float(row[1]) for row in kappa_reps]
+        assert len(kappas) == 6 and all(math.isfinite(k) and k >= 0 for k in kappas)
+        # Below rank n at lambda = 0 the estimate is 0; elsewhere positive.
+        assert all((k == 0) == (d < 20 and i < 2) for i, k in enumerate(kappas))
 
     def test_linalg_error_exit_two(self, tmp_path, capsys, monkeypatch):
         import ddlab.cli

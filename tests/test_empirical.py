@@ -21,6 +21,7 @@ from ddlab.empirical import (
     map_draws,
     probe_trace_equivalents,
     projected_draw,
+    ridge_draw,
     run_replications,
     sample_matrix,
     seeded_basis,
@@ -113,6 +114,16 @@ def svd_ridge_reference(inst, x, lam):
     bias = float(resid @ sigma @ resid)
     variance = inst.sigma_noise**2 * float(np.sum(P * (sigma @ P)))
     return bias, variance
+
+
+def design_route_ridge(inst, x, lam):
+    """Ridge (bias, variance) at d > n by the route that formed the design:
+    one shifted solve with X as its right-hand side, mapped by Sigma^(1/2)
+    and scored in Sigma^(1/2) coordinates."""
+    n = x.shape[0]
+    map_root = inst.sqrt_covariance() @ solve_shifted(x @ x.T, n * lam, x).T
+    resid = map_root @ (x @ inst.theta_star) - inst.root_signal()
+    return float(resid @ resid), inst.sigma_noise**2 * float(np.vdot(map_root, map_root))
 
 
 def svd_projected_reference(inst, x, s):
@@ -572,11 +583,10 @@ class TestConditionalProjected:
         for n, d in ((20, 30), (30, 20)):
             inst = small_instance(d=d, seed=5)
             z = sample_matrix(n, d, "rademacher", 6)
-            x = build_design(inst, z)
             for m in (5, 20, 40, 70):
                 conditional_risk_projected(inst, z, sample_matrix(d, m, "rademacher", m))
             for lam in (0.0, 0.1):
-                conditional_risk_ridge(inst, x, lam)
+                conditional_risk_ridge(inst, z, lam)
 
     def test_rank_deficient_projection_flagged(self):
         inst = small_instance(d=5, seed=21)
@@ -591,8 +601,7 @@ class TestConditionalRidge:
     def test_infinite_shrinkage(self):
         inst = small_instance(d=6, seed=31)
         z = sample_matrix(20, 6, "gaussian", 32)
-        x = build_design(inst, z)
-        bias, variance = conditional_risk_ridge(inst, x, 1e12)
+        bias, variance = conditional_risk_ridge(inst, z, 1e12)
         strength = inst.signal_strength()
         assert bias == pytest.approx(strength, rel=1e-6)
         assert variance == pytest.approx(0.0, abs=1e-10)
@@ -601,7 +610,7 @@ class TestConditionalRidge:
         inst = small_instance(d=6, seed=33)
         z = sample_matrix(25, 6, "gaussian", 34)
         x = build_design(inst, z)
-        bias, variance = conditional_risk_ridge(inst, x, 0.0)
+        bias, variance = conditional_risk_ridge(inst, z, 0.0)
         shat = x.T @ x / 25
         oracle = inst.sigma_noise**2 / 25 * np.trace(
             inst.covariance() @ np.linalg.inv(shat)
@@ -615,7 +624,7 @@ class TestConditionalRidge:
         inst = small_instance(d=4, seed=51)
         z = sample_matrix(7, 4, "gaussian", 52)
         x = build_design(inst, z)
-        bias, variance = conditional_risk_ridge(inst, x, lam)
+        bias, variance = conditional_risk_ridge(inst, z, lam)
         if lam == 0.0:
             coef_map = np.linalg.pinv(x)
         else:
@@ -628,7 +637,7 @@ class TestConditionalRidge:
         inst = small_instance(d=9, seed=61, eigs=np.linspace(0.5, 2.0, 9))
         z = sample_matrix(4, 9, "gaussian", 62)
         x = build_design(inst, z)
-        bias, variance = conditional_risk_ridge(inst, x, 0.0)
+        bias, variance = conditional_risk_ridge(inst, z, 0.0)
         coef_map = np.linalg.pinv(x)
         offset = coef_map @ (x @ inst.theta_star)
         dev = offset - inst.theta_star
@@ -642,11 +651,39 @@ class TestConditionalRidge:
     @pytest.mark.parametrize("lam", [0.0, 1e-8, 1e-4, 0.1, 1.0, 1e12])
     def test_matches_svd_reference(self, n, d, lam):
         inst = small_instance(d=d, seed=n * d)
-        x = build_design(inst, sample_matrix(n, d, "gaussian", n + d))
-        bias, variance = conditional_risk_ridge(inst, x, lam)
+        z = sample_matrix(n, d, "gaussian", n + d)
+        x = build_design(inst, z)
+        bias, variance = conditional_risk_ridge(inst, z, lam)
         ref_bias, ref_variance = svd_ridge_reference(inst, x, lam)
         assert bias == pytest.approx(ref_bias, rel=1e-10, abs=0.0)
         assert variance == pytest.approx(ref_variance, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("n, d", [(200, 400), (50, 80), (30, 45)])
+    @pytest.mark.parametrize("lam", [0.0, 1e-4, 1e-2, 1.0])
+    def test_matches_design_route(self, n, d, lam):
+        inst = small_instance(d=d, seed=n + d, eigs=1.0 / np.arange(1, d + 1))
+        z = sample_matrix(n, d, "rademacher", n * d)
+        bias, variance = conditional_risk_ridge(inst, z, lam)
+        ref_bias, ref_variance = design_route_ridge(inst, build_design(inst, z), lam)
+        assert bias == pytest.approx(ref_bias, rel=1e-10, abs=0.0)
+        assert variance == pytest.approx(ref_variance, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("n", [30, 200])
+    @pytest.mark.parametrize("sampler", ["gaussian", "rademacher"])
+    def test_next_to_threshold_within_squared_condition(self, n, sampler):
+        # At d = n + 1 and lam = 0 the solve on XX' resolves the risk to
+        # about cond(X)^2 eps; over 32 such draws of the 1/k spectrum the
+        # error stayed below 0.2 cond(X)^2 eps, on this route and on the
+        # design route alike.
+        d = n + 1
+        for seed in range(4):
+            inst = small_instance(d=d, seed=seed, eigs=1.0 / np.arange(1, d + 1))
+            z = sample_matrix(n, d, sampler, 100 + seed)
+            x = build_design(inst, z)
+            tol = np.linalg.cond(x) ** 2 * np.finfo(float).eps
+            risks = conditional_risk_ridge(inst, z, 0.0)
+            for value, ref in zip(risks, svd_ridge_reference(inst, x, 0.0), strict=True):
+                assert value == pytest.approx(ref, rel=tol, abs=0.0), (seed, tol)
 
     def test_gaussian_ols_identity_small(self):
         # Exact inverse-Wishart mean: sigma^2 d / (n - d - 1); 300 draws at 4 SE.
@@ -654,37 +691,55 @@ class TestConditionalRidge:
         values = []
         for rep in range(300):
             z = sample_matrix(40, 10, "gaussian", child_seed(71, rep))
-            x = build_design(inst, z)
-            values.append(conditional_risk_ridge(inst, x, 0.0)[1])
+            values.append(conditional_risk_ridge(inst, z, 0.0)[1])
         values = np.array(values)
         se = values.std(ddof=1) / np.sqrt(len(values))
         assert values.mean() == pytest.approx(10 / 29, abs=4 * se)
 
     def test_rejects_infinite_lambda(self):
         inst = small_instance(d=4, seed=51)
-        x = build_design(inst, sample_matrix(7, 4, "gaussian", 52))
+        z = sample_matrix(7, 4, "gaussian", 52)
         with pytest.raises(ValueError, match="finite"):
-            conditional_risk_ridge(inst, x, np.inf)
+            conditional_risk_ridge(inst, z, np.inf)
 
 
 class TestEmpiricalKappa:
     def test_zero_design_returns_lambda(self):
-        assert empirical_kappa_lambda(np.zeros((8, 3)), 8, 0.25) == pytest.approx(0.25)
+        # Both Gram matrices of a zero 8 x 3 design.
+        for gram in (np.zeros((3, 3)), np.zeros((8, 8))):
+            assert empirical_kappa_lambda(gram, 8, 0.25) == pytest.approx(0.25)
 
     def test_rejects_infinite_lambda(self):
         with pytest.raises(ValueError, match="finite"):
-            empirical_kappa_lambda(np.ones((8, 3)), 8, np.inf)
+            empirical_kappa_lambda(np.eye(3), 8, np.inf)
+
+    def test_rejects_gram_larger_than_n(self):
+        with pytest.raises(ValueError, match="n = 3"):
+            empirical_kappa_lambda(np.eye(4), 3, 0.1)
+
+    @pytest.mark.parametrize("n, d", [(12, 20), (20, 12), (15, 15)])
+    def test_either_gram_matrix(self, n, d):
+        # X'X stands in for XX' when it is the smaller one.
+        x = sample_matrix(n, d, "gaussian", n * d)
+        grams = [x @ x.T] + ([x.T @ x] if d <= n else [])
+        for lam in (1e-3, 0.1):
+            ref = 1.0 / np.trace(np.linalg.inv(x @ x.T + n * lam * np.eye(n)))
+            for gram in grams:
+                assert empirical_kappa_lambda(gram, n, lam) == pytest.approx(ref, rel=1e-12)
+        # At lam = 0 below rank n the trace is infinite.
+        expect = 0.0 if d < n else 1.0 / np.trace(np.linalg.inv(x @ x.T))
+        assert empirical_kappa_lambda(grams[-1], n, 0.0) == pytest.approx(expect, rel=1e-10)
 
     def test_matches_closed_form_isotropic(self):
         z = sample_matrix(2000, 4000, "rademacher", 81)
-        kap = empirical_kappa_lambda(z, 2000, 0.1)
+        kap = empirical_kappa_lambda(z @ z.T, 2000, 0.1)
         assert kap == pytest.approx(kappa_isotropic_closed(1.0, 2.0, 0.1), rel=0.03)
 
     def test_large_lambda_asymptote(self):
         z = sample_matrix(300, 150, "gaussian", 82)
         trace = np.trace(z.T @ z / 300)
         lam = 100.0 * trace
-        kap = empirical_kappa_lambda(z, 300, lam)
+        kap = empirical_kappa_lambda(z.T @ z, 300, lam)
         assert kap == pytest.approx(lam + trace / 300 * 150 / 150, rel=0.02 * 150)
         # dominant behaviour: kappa ~ lambda + tr(Sigma)/n
         assert kap == pytest.approx(lam + trace / 300, rel=0.02)
@@ -975,8 +1030,12 @@ def test_one_shifted_solve_per_draw(monkeypatch):
         calls["eigh"] += 1
         return eigh(*args, **kwargs)
 
-    def no_dense_covariance(self):
-        raise AssertionError("dense covariance built")
+    forms = []
+    form_cov = emp.ProblemInstance._form_cov
+
+    def counting_form_cov(self):
+        forms.append(self)
+        return form_cov(self)
 
     draws = []
     for n, d in ((30, 50), (50, 30)):
@@ -985,14 +1044,16 @@ def test_one_shifted_solve_per_draw(monkeypatch):
         draws.append((probe_inst, probe_x @ probe_inst.sigma_basis))
     monkeypatch.setattr(emp, "solve_shifted", counting_solve)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(emp.ProblemInstance, "covariance", no_dense_covariance)
+    monkeypatch.setattr(emp.ProblemInstance, "_form_cov", counting_form_cov)
     for n, d in ((8, 13), (13, 8)):
+        # Over several ridge draws on one instance, Sigma is formed at most
+        # once, and each draw takes one shifted solve.
         inst = small_instance(d=d, seed=93)
-        x = build_design(inst, sample_matrix(n, d, "gaussian", 94))
-        for lam in (0.0, 0.5):
+        for rep, lam in enumerate((0.0, 0.5, 0.0)):
             before = calls["solve_shifted"]
-            conditional_risk_ridge(inst, x, lam)
+            conditional_risk_ridge(inst, sample_matrix(n, d, "gaussian", 94 + rep), lam)
             assert calls["solve_shifted"] - before == 1, (n, d, lam)
+        assert sum(formed is inst for formed in forms) <= 1, (n, d)
 
     def no_basis(self):
         raise AssertionError("the probes read the eigenbasis their inputs are in")
@@ -1170,3 +1231,21 @@ class TestRunReplications:
         assert plain is not None and recorded is not None
         assert recorded.kappa_hat is None
         assert (recorded.bias, recorded.variance) == (plain.bias, plain.variance)
+
+    @pytest.mark.parametrize("n, d", [(12, 20), (20, 12)])
+    def test_ridge_draw_records_kappa_from_its_gram(self, n, d):
+        # The estimate reads the Gram matrix the solve then reuses, so the
+        # risk keeps its bits.
+        inst = small_instance(d=d, seed=n + d)
+        z = sample_matrix(n, d, "gaussian", 7)
+        x = build_design(inst, z)
+        for lam in (0.0, 0.1):
+            plain = ridge_draw(inst, z, 2, lam)
+            recorded = ridge_draw(inst, z, 2, lam, record_kappa=True)
+            assert plain.kappa_hat is None
+            assert (recorded.bias, recorded.variance) == (plain.bias, plain.variance)
+            if d < n and lam == 0.0:
+                expect = 0.0
+            else:
+                expect = 1.0 / np.trace(np.linalg.inv(x @ x.T + n * lam * np.eye(n)))
+            assert recorded.kappa_hat == pytest.approx(expect, rel=1e-10)

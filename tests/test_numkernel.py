@@ -69,6 +69,21 @@ class TestSolveShifted:
         assert x.shape == rhs.shape
         np.testing.assert_allclose(x, ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max())
 
+    @pytest.mark.parametrize("dim, shift, cols", [
+        (6, 0.0, 3), (100, 1e-3, 50), (200, 0.0, 400), (200, 0.08, 401), (130, 2.0, 0),
+    ])
+    def test_rhs_matches_numpy_solve(self, dim, shift, cols):
+        # The shifted inverse is applied to the right-hand side, a matrix or
+        # a vector (cols = 0).
+        rng = np.random.default_rng(3 * dim + cols)
+        z = rng.standard_normal((dim, 2 * dim))
+        a = z @ z.T / (2 * dim)
+        rhs = rng.standard_normal((dim, cols)) if cols else rng.standard_normal(dim)
+        ref = np.linalg.solve(a + shift * np.eye(dim), rhs)
+        x = solve_shifted(a, shift, rhs)
+        assert x.shape == rhs.shape
+        np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError, match="square"):
             solve_shifted(np.ones((2, 3)), 1.0, np.ones(2))

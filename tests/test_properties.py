@@ -108,7 +108,7 @@ def test_conditional_risks_match_noise_sampling(seed):
     x = build_design(inst, z)
 
     for lam in (0.0, 0.1, 1.0):
-        bias, variance = conditional_risk_ridge(inst, x, lam)
+        bias, variance = conditional_risk_ridge(inst, z, lam)
         if lam == 0.0:
             coef_map = np.linalg.pinv(x)
         else:
@@ -140,12 +140,11 @@ def test_surjective_projection_collapses_to_ols(seed):
         signal_coords=q.T @ rng.standard_normal(d), basis=q,
     )
     z = sample_matrix(n, d, "gaussian", 6000 + seed)
-    x = build_design(inst, z)
     # Gaussian projections span R^d almost surely; discrete +-1 columns can
     # genuinely lose rank at these tiny sizes.
     s_mat = sample_matrix(d, m, "gaussian", 7000 + seed)
     bias_p, var_p = conditional_risk_projected(inst, z, s_mat)
-    bias_o, var_o = conditional_risk_ridge(inst, x, 0.0)
+    bias_o, var_o = conditional_risk_ridge(inst, z, 0.0)
     assert var_p == pytest.approx(var_o, rel=1e-8)
     assert bias_p <= 1e-8 * max(1.0, inst.signal_strength())
     assert bias_o == 0.0
@@ -180,10 +179,10 @@ def test_returned_risks_are_nonnegative(seed, n, d, sampler, spread):
         except (NumericalError, np.linalg.LinAlgError):
             pass
     square = _instance(n, rng, spread)
-    x = build_design(square, sample_matrix(n, n, sampler, seed + 1))
+    square_z = sample_matrix(n, n, sampler, seed + 1)
     for lam in (0.0, 1e-12):
         try:
-            risks += conditional_risk_ridge(square, x, lam)
+            risks += conditional_risk_ridge(square, square_z, lam)
         except (NumericalError, np.linalg.LinAlgError):
             pass
     assert all(risk >= 0 for risk in risks), risks
