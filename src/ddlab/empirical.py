@@ -437,7 +437,9 @@ def _ridge_gram(inst: ProblemInstance, z: np.ndarray) -> tuple[np.ndarray, np.nd
     if inst.d > z.shape[0]:
         y = z @ inst.covariance()
         gram = y @ z.T
-        return 0.5 * (gram + gram.T), y
+        gram += gram.T
+        gram *= 0.5
+        return gram, y
     x = build_design(inst, z)
     return x.T @ x, x
 

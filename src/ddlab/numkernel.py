@@ -108,12 +108,12 @@ def solve_shifted(a, shift: float, rhs=None) -> np.ndarray:
         x = inverse @ rhs
         rhs_norm = float(np.linalg.norm(rhs))
     for _ in range(3):
+        resid = shifted @ x
         if rhs is None:
-            resid = shifted @ x
             np.negative(resid, out=resid)
             resid.flat[:: k + 1] += 1.0
         else:
-            resid = rhs - shifted @ x
+            np.subtract(rhs, resid, out=resid)
         if float(np.linalg.norm(resid)) <= 1e-13 * max(rhs_norm, 1e-300):
             break
         x = x + inverse @ resid
