@@ -511,9 +511,11 @@ def empirical_kappa_lambda(gram: np.ndarray, n: int, lam: float) -> float:
     shifted = kernel_eigs + n * lam
     if (shifted <= 0).any():
         raise NumericalError("kernel matrix plus shift is singular")
-    if missing and lam == 0:
+    if not missing:
+        return float(1.0 / np.sum(1.0 / shifted))
+    if lam == 0:
         return 0.0
-    return float(1.0 / (np.sum(1.0 / shifted) + (missing / (n * lam) if missing else 0.0)))
+    return float(1.0 / (np.sum(1.0 / shifted) + missing / (n * lam)))
 
 
 def empirical_kappa_m(projected: np.ndarray) -> float:
