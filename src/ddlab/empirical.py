@@ -31,7 +31,8 @@ import numpy as np
 
 from .config import SweepConfig
 from .numkernel import (
-    NumericalError, as_sym_matrix, householder_q, pseudo_inverse, solve_shifted,
+    NumericalError, as_sym_matrix, householder_q, pin_heap_thresholds, pseudo_inverse,
+    solve_shifted,
 )
 from .selfconsistent import kappa_of_lambda
 from .spectrum import SignalMeasure, Spectrum, df2, spectrum_for, spectrum_from_json
@@ -810,7 +811,9 @@ def summarize_point(
 def map_draws(task, keys) -> list:
     """[task(key) for key in keys] on up to DDLAB_THREADS worker threads
     (default 1, never more than there are keys), in key order.  Every Monte
-    Carlo draw runs through here."""
+    Carlo draw runs through here, so this is where glibc's heap thresholds
+    are pinned (pin_heap_thresholds, process-global)."""
+    pin_heap_thresholds()
     raw = os.environ.get(THREADS_ENV_VAR, "1")
     try:
         workers = int(raw)

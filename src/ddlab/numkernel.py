@@ -7,11 +7,18 @@ third kernel forms the orthogonal factor of a QR factorization from its
 raw Householder reflectors, for the seeded eigenbases.  All functions are
 pure and operate on plain float64 ndarrays; there is no shared state, so
 they are safe to call from multiple threads.
+
+One helper is not a kernel: pin_heap_thresholds sets glibc's allocator
+thresholds for the whole process, once, so that the draws' temporaries
+are recycled on the heap instead of being faulted in again on every draw.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 
 import numpy as np
 
@@ -223,3 +230,42 @@ def householder_q(raw: np.ndarray, tau: np.ndarray) -> np.ndarray:
         for row in range(0, m - start, _UPDATE_ROWS):
             q[start + row:start + row + _UPDATE_ROWS, start:] -= v[row:row + _UPDATE_ROWS] @ w
     return q
+
+
+# glibc's mallopt parameter numbers (malloc.h), and the values
+# pin_heap_thresholds sets: requests up to 32 MiB, glibc's own cap for its
+# dynamic mmap threshold, come from the heap, and the heap top is handed
+# back only once more than twice that is free, as glibc's dynamic rule does
+# at the cap.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+HEAP_MMAP_THRESHOLD = 32 << 20
+HEAP_TRIM_THRESHOLD = 64 << 20
+
+
+@functools.cache
+def pin_heap_thresholds() -> str:
+    """Pin glibc's mmap and trim thresholds for the whole process, on the
+    first call; return "applied", or why nothing was set.
+
+    glibc maps every request above its mmap threshold afresh, and trims the
+    heap top once more than its trim threshold is free.  Both start at
+    128 KiB and rise only as far as the largest mapped chunk freed so far,
+    so Monte Carlo draws whose temporaries outgrow them fault every page in
+    again on each draw.  The setting is process-global: it holds for every
+    allocation that follows, in every thread, and it turns glibc's dynamic
+    rule off.  Elsewhere than on glibc it does nothing.
+    """
+    try:
+        libc_version = os.confstr("CS_GNU_LIBC_VERSION")
+    except (ValueError, OSError):
+        libc_version = None
+    if not libc_version or not libc_version.startswith("glibc"):
+        return f"not applied: the C library is not glibc ({libc_version})"
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in ((_M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD), (_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)):
+        if mallopt(param, value) != 1:
+            return f"not applied: mallopt({param}, {value}) failed"
+    return "applied"

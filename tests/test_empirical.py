@@ -1106,6 +1106,43 @@ class TestMapDraws:
         assert sizes == ([] if pool is None else [pool])
 
 
+    def test_sweep_draws_do_not_fault_the_heap_in_again(self, tmp_path):
+        # A fresh process runs one sweep to warm its heap, then the same
+        # sweep again.  Unpinned, glibc maps each draw's n x d temporaries
+        # afresh or trims them off the heap top, and faults them in again:
+        # about 100 minor faults per draw at this shape.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import ddlab
+        from ddlab.numkernel import pin_heap_thresholds
+
+        script = """
+import os, resource, sys
+from ddlab.cli import main
+os.chdir(sys.argv[1])
+argv = ["empirical", "--n", "100", "--d", "200", "--spectrum", "inverse_index",
+        "--m-grid", "50,150,300", "--reps", "4", "--out"]
+main([*argv, "warm.csv"])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+main([*argv, "sweep.csv"])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        if pin_heap_thresholds() != "applied":
+            pytest.skip(pin_heap_thresholds())
+        src = str(Path(ddlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        draws = 3 * 4
+        assert int(proc.stdout.splitlines()[-1]) <= 5 * draws
+
+
 class TestRunReplications:
     def config(self, reps=3, mode="empirical", m_grid=(5, 10), master_seed=77):
         return SweepConfig(

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ddlab.numkernel import IndefiniteMatrixError, householder_q, pseudo_inverse, solve_shifted
+from ddlab.numkernel import (
+    IndefiniteMatrixError, householder_q, pin_heap_thresholds, pseudo_inverse, solve_shifted,
+)
 
 
 def random_spd(dim, seed):
@@ -224,3 +226,16 @@ class TestPseudoInverseRoutes:
         design = np.full((3, 2), np.nan)
         assert pseudo_inverse(design)[1] == old_eigh_pseudo_inverse(design)[1]
         assert eigh_calls[0] == (2, 2)
+
+
+def test_heap_thresholds_pinned_on_glibc():
+    import os
+
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        glibc = False
+    status = pin_heap_thresholds()
+    assert status == "applied" if glibc else status.startswith("not applied")
+    # Once per process: a second call returns the first call's record.
+    assert pin_heap_thresholds() is status
