@@ -9,8 +9,8 @@ exactly in the noise (the noise expectation is carried out in closed
 form, never sampled).  Both conditional risks are scored in Sigma^(1/2)
 coordinates, so a draw reads Sigma^(1/2), or Sigma for a ridge draw at
 d > n, which forms no design, and never the eigenbasis.  A seeded
-eigenbasis is the Q factor of a seeded Gaussian matrix; at large d
-it is accumulated from the raw Householder factors.  The trace probes ask for one shifted
+eigenbasis is the Q factor of a seeded Gaussian matrix, accumulated from
+its raw Householder factors.  The trace probes ask for one shifted
 inverse per penalty and form each of their n x n sandwiches once.  All
 sampling is seed-pure: samplers take explicit seeds and no global RNG state
 is touched, so replications can run concurrently and merge
@@ -123,28 +123,12 @@ def sample_matrix(rows: int, cols: int, sampler: str, seed: int) -> np.ndarray:
     raise ValueError(f"unknown sampler {sampler!r}")
 
 
-# Largest d whose seeded basis comes from numpy's complete-mode QR.  That
-# route frees one 2 d^2 buffer, which raises glibc's dynamic mmap and trim
-# thresholds (the mmap one is capped at 32 MiB, so only up to d = 1448).
-# The n x d temporaries of the draws that follow are then recycled on a heap
-# that is not handed back to the system after every draw.  At n = 200,
-# d = 400 the ridge draws ran about 20% slower on the raw route, from page
-# faults alone, though it forms Q faster there (18 vs 32 ms).
-_COMPLETE_QR_MAX_D = 1024
-
-
 def seeded_basis(d: int, seed: int) -> np.ndarray:
     """Seeded uniformly random d x d orthogonal matrix: the Q factor of a
     seeded Gaussian draw G = QR, column signs fixed by the diagonal of R.
-    Above _COMPLETE_QR_MAX_D, Q is accumulated from the raw Householder
-    factors of G, whose diagonal is R's, so neither the complete-mode copies
-    nor R are formed: at d = 2000 that is faster and peaks 60 MB lower."""
-    rng = np.random.default_rng(seed)
-    if d <= _COMPLETE_QR_MAX_D:
-        q, r = np.linalg.qr(rng.standard_normal((d, d)))
-        q *= np.sign(np.diag(r))
-        return q
-    raw, tau = np.linalg.qr(rng.standard_normal((d, d)), mode="raw")
+    Q is accumulated from the raw Householder factors of G, whose diagonal
+    is R's, so neither numpy's complete-mode copies nor R are formed."""
+    raw, tau = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)), mode="raw")
     q = householder_q(raw, tau)
     q *= np.sign(np.diagonal(raw))
     return q

@@ -293,9 +293,8 @@ def assert_same_basis(q, ref):
 
 
 class TestSeededBasis:
-    # Up to d = 1024 the basis is numpy's complete QR; d = 1025 and 2000 take
-    # the raw-factor route, and 1025 = 8 * 128 + 1 is one column past an edge
-    # of its 128-reflector blocks.  TestHouseholderQ covers small sizes.
+    # 129 and 1025 = 8 * 128 + 1 are one column past an edge of the
+    # 128-reflector blocks.  TestHouseholderQ covers small sizes.
     @pytest.mark.parametrize("d", [1, 2, 7, 64, 128, 129, 300, 1025, 2000])
     def test_matrix_matches_complete_qr(self, d):
         assert_same_basis(seeded_basis(d, 5), complete_qr_basis(d, 5))
