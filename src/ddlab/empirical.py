@@ -9,9 +9,11 @@ exactly in the noise (the noise expectation is carried out in closed
 form, never sampled).  Both conditional risks are scored in Sigma^(1/2)
 coordinates, so a draw reads Sigma^(1/2), or Sigma for a ridge draw at
 d > n, which forms no design, and never the eigenbasis.  A seeded
-eigenbasis is the Q factor of a seeded Gaussian matrix, accumulated from
-its raw Householder factors.  The trace probes ask for one shifted
-inverse per penalty and form each of their n x n sandwiches once.  All
+eigenbasis is the Q factor of a seeded Gaussian matrix, held as its raw
+Householder reflectors until Q itself is asked for; ProblemInstance.rotate
+takes a draw into the eigenbasis from the reflectors alone.  The trace
+probes ask for one shifted inverse per penalty and form each of their
+n x n sandwiches once.  All
 sampling is seed-pure: samplers take explicit seeds and no global RNG state
 is touched, so replications can run concurrently and merge
 deterministically.
@@ -31,8 +33,8 @@ import numpy as np
 
 from .config import SweepConfig
 from .numkernel import (
-    NumericalError, as_sym_matrix, householder_q, pin_heap_thresholds, pseudo_inverse,
-    solve_shifted,
+    NumericalError, as_sym_matrix, householder_apply, householder_q, pin_heap_thresholds,
+    pseudo_inverse, solve_shifted,
 )
 from .selfconsistent import kappa_of_lambda
 from .spectrum import SignalMeasure, Spectrum, df2, spectrum_for, spectrum_from_json
@@ -50,6 +52,7 @@ __all__ = [
     "build_instance",
     "seeded_instance",
     "seeded_basis",
+    "seeded_reflectors",
     "conditional_risk_projected",
     "conditional_risk_ridge",
     "empirical_kappa_lambda",
@@ -123,15 +126,27 @@ def sample_matrix(rows: int, cols: int, sampler: str, seed: int) -> np.ndarray:
     raise ValueError(f"unknown sampler {sampler!r}")
 
 
+def seeded_reflectors(d: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The seeded basis as (raw, tau, signs): the raw Householder factors
+    np.linalg.qr(G, mode="raw") of a seeded d x d Gaussian draw G = QR, and
+    the column signs of the diagonal of R, which is raw's."""
+    raw, tau = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)), mode="raw")
+    return raw, tau, np.sign(np.diagonal(raw))
+
+
+def _reflector_basis(raw: np.ndarray, tau: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    q = householder_q(raw, tau)
+    q *= signs
+    return q
+
+
 def seeded_basis(d: int, seed: int) -> np.ndarray:
     """Seeded uniformly random d x d orthogonal matrix: the Q factor of a
     seeded Gaussian draw G = QR, column signs fixed by the diagonal of R.
-    Q is accumulated from the raw Householder factors of G, whose diagonal
-    is R's, so neither numpy's complete-mode copies nor R are formed."""
-    raw, tau = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)), mode="raw")
-    q = householder_q(raw, tau)
-    q *= np.sign(np.diagonal(raw))
-    return q
+    Q is accumulated from the raw Householder factors of G
+    (seeded_reflectors), so neither numpy's complete-mode copies nor R are
+    formed."""
+    return _reflector_basis(*seeded_reflectors(d, seed))
 
 
 class ProblemInstance:
@@ -140,11 +155,14 @@ class ProblemInstance:
     Sigma = Q diag(sigma_eigs) Q' and theta_star = Q u, with u the target's
     eigen-coordinates ``signal_coords``.  ``basis`` is Q as a d x d
     orthonormal matrix, checked here, or an integer seed of
-    ``seeded_basis(d, seed)``, drawn and checked on first use.  The
-    eigenvalues and u serve the signal measure and the signal strength, so
-    a theory-only sweep never forms Q.  (Q, theta_star), Sigma,
-    Sigma^(1/2) and Sigma^(1/2) theta_star are each formed once, on first
-    use, and read-only.  Instances are immutable.
+    ``seeded_basis(d, seed)``.  A seeded Q is held as its Householder
+    reflectors (``seeded_reflectors(d, seed)``), drawn and checked on first
+    use; ``rotate`` reads only them, and Q is formed from them, and checked,
+    when the basis, the target or a covariance is first read, after which Q
+    replaces them.  The eigenvalues and u serve the signal measure and the
+    signal strength, so a theory-only sweep never draws the basis.
+    (Q, theta_star), Sigma, Sigma^(1/2) and Sigma^(1/2) theta_star are each
+    formed once, on first use, and read-only.  Instances are immutable.
     """
 
     def __init__(self, sigma_noise: float, sigma_eigs, signal_coords, basis):
@@ -166,8 +184,8 @@ class ProblemInstance:
         eigs.flags.writeable = coords.flags.writeable = False
         self.__dict__.update(
             d=d, sigma_noise=sigma_noise, sigma_eigs=eigs, signal_coords=coords,
-            _basis=basis, _formed=None, _cov=None, _sqrt_cov=None, _root_signal=None,
-            _lock=threading.RLock(),
+            _basis=basis, _reflectors=None, _formed=None, _cov=None, _sqrt_cov=None,
+            _root_signal=None, _lock=threading.RLock(),
         )
 
     def __setattr__(self, name, value):
@@ -184,11 +202,18 @@ class ProblemInstance:
                     value = self.__dict__[name] = make()
         return value
 
+    def _draw_reflectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        reflectors = seeded_reflectors(self.d, self._basis)
+        _check_reflectors(*reflectors)
+        return reflectors
+
     def _form_pair(self) -> tuple[np.ndarray, np.ndarray]:
         basis = self._basis
         if not isinstance(basis, np.ndarray):
-            basis = seeded_basis(self.d, basis)
+            basis = _reflector_basis(*self._once("_reflectors", self._draw_reflectors))
             _check_orthonormal(basis)
+            # Q replaces its reflectors: the empty tuple sends rotate to Q.
+            self.__dict__["_reflectors"] = ()
         return basis, basis @ self.signal_coords
 
     @property
@@ -200,6 +225,22 @@ class ProblemInstance:
     def theta_star(self) -> np.ndarray:
         """The target coefficients Q u, formed with the basis."""
         return self._once("_formed", self._form_pair)[1]
+
+    def rotate(self, z) -> np.ndarray:
+        """Z Q for an n x d draw Z, as a new array: the draw in Sigma's
+        eigenbasis.  Until a seeded instance forms Q, Q'Z' is applied from
+        its Householder reflectors (numkernel.householder_apply) and Q is
+        never formed; that agrees with z @ sigma_basis at roundoff.  Once Q is
+        formed, or when it was given, this is z @ Q."""
+        z = _unit_draw(self, z)
+        if not isinstance(self._basis, np.ndarray):
+            reflectors = self._once("_reflectors", self._draw_reflectors)
+            if reflectors:
+                raw, tau, signs = reflectors
+                x = householder_apply(raw, tau, z.T).T
+                x *= signs
+                return x
+        return z @ self.sigma_basis
 
     # -- covariance actions (never form Sigma unless asked) ----------------
 
@@ -257,6 +298,36 @@ def _check_orthonormal(basis: np.ndarray) -> None:
     # Negated, so that a NaN anywhere rejects the basis.
     if not (diag <= 1e-8 + 1e-5 and gram.max(initial=0.0) <= 1e-8):
         raise ValueError("basis columns are not orthonormal")
+
+
+# Rows of raw per block when _check_reflectors sums the reflectors' norms.
+_CHECK_ROWS = 128
+
+
+def _check_reflectors(raw: np.ndarray, tau: np.ndarray, signs: np.ndarray) -> None:
+    """Reject seeded reflectors that give no orthonormal basis, in O(d^2).
+
+    Every tau_i must be finite, every diagonal entry of R finite and nonzero,
+    every column sign +-1, and with h_i = tau_i ||v_i||^2,
+    sum_i |h_i| |h_i - 2| <= 1e-8.  Each term is ||H_i'H_i - I||_2 for
+    H_i = I - tau_i v_i v_i', so the sum bounds ||Q'Q - I||_2 to first order,
+    at the tolerance of _check_orthonormal.  v_i is 1 followed by
+    raw[i, i+1:], summed here a block of rows at a time.
+    """
+    d = raw.shape[0]
+    diagonal = np.diagonal(raw)
+    norms = np.empty(d)
+    for start in range(0, d, _CHECK_ROWS):
+        block = np.triu(raw[start:start + _CHECK_ROWS, start:], 1)
+        norms[start:start + _CHECK_ROWS] = np.einsum("ij,ij->i", block, block)
+    h = tau * (1.0 + norms)
+    defect = float(np.sum(np.abs(h) * np.abs(h - 2.0)))
+    # Negated, so that a NaN anywhere rejects the reflectors.
+    if not (
+        np.isfinite(tau).all() and np.isfinite(diagonal).all() and (diagonal != 0).all()
+        and (np.abs(signs) == 1).all() and defect <= 1e-8
+    ):
+        raise ValueError("seeded reflectors do not give an orthonormal basis")
 
 
 def _unit_draw(inst: ProblemInstance, z) -> np.ndarray:

@@ -195,10 +195,25 @@ def _eigh_pseudo_inverse(
     return design.T @ ((v / w) @ v.T), int(keep.sum())
 
 
-# Reflectors per block when householder_q accumulates Q, and rows per
-# product when a block updates Q, which bounds that product's temporary.
+# Reflectors per block of the compact-WY form, and rows per product when a
+# block updates its operand, which bounds that product's temporary.
 _REFLECTOR_BLOCK = 128
 _UPDATE_ROWS = 512
+
+
+def _wy_block(a: np.ndarray, tau: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The compact-WY form H_start ... H_(stop-1) = I - V T V' of a block of
+    the reflectors in LAPACK's layout a = raw', acting on rows start:.  V
+    holds the reflectors with their unit diagonal, and the upper-triangular T
+    is built by dlarft's recurrence."""
+    v = np.tril(a[start:, start:stop], -1)
+    np.fill_diagonal(v, 1.0)
+    vtv = v.T @ v
+    t = np.zeros((stop - start, stop - start))
+    for i, tau_i in enumerate(tau[start:stop]):
+        t[i, i] = tau_i
+        t[:i, i] = -tau_i * (t[:i, :i] @ vtv[:i, i])
+    return v, t
 
 
 def householder_q(raw: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -209,8 +224,7 @@ def householder_q(raw: np.ndarray, tau: np.ndarray) -> np.ndarray:
     raw' holds LAPACK's reflectors below its diagonal (the diagonal and
     above are R), and H_i = I - tau_i v_i v_i'.  Q is accumulated as LAPACK's
     dorgqr does: from the identity, backward over blocks of reflectors, each
-    block applied to the trailing rows and columns as I - V T V', with the
-    upper-triangular T of the compact-WY form built by dlarft's recurrence.
+    block applied to the trailing rows and columns in its compact-WY form.
     A reflector with tau = 0 is the identity.
     """
     a = raw.T
@@ -218,18 +232,34 @@ def householder_q(raw: np.ndarray, tau: np.ndarray) -> np.ndarray:
     q = np.zeros((m, m))
     q.flat[:: m + 1] = 1.0
     for start in range(((k - 1) // _REFLECTOR_BLOCK) * _REFLECTOR_BLOCK, -1, -_REFLECTOR_BLOCK):
-        stop = min(start + _REFLECTOR_BLOCK, k)
-        v = np.tril(a[start:, start:stop], -1)
-        np.fill_diagonal(v, 1.0)
-        vtv = v.T @ v
-        t = np.zeros((stop - start, stop - start))
-        for i, tau_i in enumerate(tau[start:stop]):
-            t[i, i] = tau_i
-            t[:i, i] = -tau_i * (t[:i, :i] @ vtv[:i, i])
+        v, t = _wy_block(a, tau, start, min(start + _REFLECTOR_BLOCK, k))
         w = t @ (v.T @ q[start:, start:])
         for row in range(0, m - start, _UPDATE_ROWS):
             q[start + row:start + row + _UPDATE_ROWS, start:] -= v[row:row + _UPDATE_ROWS] @ w
     return q
+
+
+def householder_apply(raw: np.ndarray, tau: np.ndarray, y) -> np.ndarray:
+    """Q'y for the Q = H_1 ... H_k of np.linalg.qr(a, mode="raw") = (raw, tau),
+    as in householder_q, without forming Q.  y is an m-vector or has m rows;
+    the result is a new array of y's shape.
+
+    Q' = H_k ... H_1 is applied forward over blocks of reflectors, each block
+    to the trailing rows as y[s:] -= V (T' (V' y[s:])).  For p columns of y
+    and a square input that is about 2 m^2 p flops, as many as the product
+    Q'y itself, and Q's own (4/3) m^3 are never spent.
+    """
+    a = raw.T
+    m, k = a.shape
+    out = np.array(y, dtype=float, order="C")
+    if out.ndim not in (1, 2) or out.shape[0] != m:
+        raise ValueError(f"y has shape {out.shape}, expected ({m},) or ({m}, *)")
+    for start in range(0, k, _REFLECTOR_BLOCK):
+        v, t = _wy_block(a, tau, start, min(start + _REFLECTOR_BLOCK, k))
+        w = t.T @ (v.T @ out[start:])
+        for row in range(0, m - start, _UPDATE_ROWS):
+            out[start + row:start + row + _UPDATE_ROWS] -= v[row:row + _UPDATE_ROWS] @ w
+    return out
 
 
 # glibc's mallopt parameter numbers (malloc.h), and the values

@@ -370,7 +370,7 @@ class TestMain:
             return original(config)
 
         formed = []
-        matrix = ddlab.empirical.seeded_basis
+        matrix = ddlab.empirical.seeded_reflectors
 
         def counting_matrix(d, seed):
             formed.append(seed)
@@ -378,7 +378,7 @@ class TestMain:
 
         monkeypatch.setattr(ddlab.empirical, "build_instance", counting)
         monkeypatch.setattr(ddlab.cli, "build_instance", counting)
-        monkeypatch.setattr(ddlab.empirical, "seeded_basis", counting_matrix)
+        monkeypatch.setattr(ddlab.empirical, "seeded_reflectors", counting_matrix)
         code = main([
             "empirical", "--n", "12", "--d", "8", "--spectrum", "inverse_index",
             "--m-grid", "4", "--reps", "2", "--with-theory", "--out", str(tmp_path / "e.csv"),
@@ -394,7 +394,7 @@ class TestMain:
         def no_matrix(*args, **kwargs):
             raise AssertionError("d x d basis drawn or factored in a theory sweep")
 
-        monkeypatch.setattr(ddlab.empirical, "seeded_basis", no_matrix)
+        monkeypatch.setattr(ddlab.empirical, "seeded_reflectors", no_matrix)
         monkeypatch.setattr(np.linalg, "qr", no_matrix)
         spec = Spectrum(eigenvalues=np.array([0.5, 2.0]), weights=np.array([40.0, 20.0]), d=60)
         measures = tmp_path / "measures.json"
@@ -428,6 +428,39 @@ class TestMain:
                 "--lambdas", "0.1,1", "--seeds", "2", "--out", str(out),
             ]) == 0, (n, d)
             assert len(out.read_text().strip().splitlines()) == 1 + 2 * 2 * 6
+
+    def test_probe_traces_form_basis_only_for_many_draws(self, tmp_path, monkeypatch):
+        # Up to _ROTATIONS_PER_BASIS draws are rotated from the reflectors
+        # and Q is never formed; past it, Q is formed once and every draw
+        # multiplies by it.  Both give the first draw's traces at roundoff.
+        import csv
+
+        import ddlab.cli
+        import ddlab.empirical
+
+        formed = []
+        accumulate = ddlab.empirical.householder_q
+
+        def counting(raw, tau):
+            formed.append(raw.shape)
+            return accumulate(raw, tau)
+
+        monkeypatch.setattr(ddlab.empirical, "householder_q", counting)
+        many = ddlab.cli._ROTATIONS_PER_BASIS + 1
+        lhs = {}
+        for n, d in ((40, 60), (60, 40)):
+            for seeds, forms in ((1, 0), (many, 1)):
+                formed.clear()
+                out = tmp_path / f"probes-{n}-{d}-{seeds}.csv"
+                assert main([
+                    "probe-traces", "--n", str(n), "--d", str(d), "--spectrum", "two_dirac:0.5,1,4",
+                    "--lambdas", "0.1,1", "--seeds", str(seeds), "--out", str(out),
+                ]) == 0
+                assert len(formed) == forms, (n, d, seeds)
+                with open(out, newline="", encoding="utf-8") as fh:
+                    lhs[seeds] = [float(r["lhs"]) for r in csv.DictReader(fh) if r["seed"] == "0"]
+            assert len(lhs[1]) == 12
+            np.testing.assert_allclose(lhs[1], lhs[many], rtol=1e-12)
 
     def test_outputs_create_missing_directories(self, tmp_path, monkeypatch):
         # The replication stream goes to a directory other than --out's.

@@ -26,8 +26,9 @@ from ddlab.empirical import (
     sample_matrix,
     seeded_basis,
     seeded_instance,
+    seeded_reflectors,
 )
-from ddlab.numkernel import solve_shifted
+from ddlab.numkernel import householder_apply, solve_shifted
 from ddlab.selfconsistent import kappa_at_dof, kappa_isotropic_closed
 from ddlab.spectrum import make_isotropic
 
@@ -253,16 +254,21 @@ class TestProblemInstance:
                 ProblemInstance(**args, basis=basis)
 
     def test_basis_matrix_or_seed(self):
-        # A seed and the matrix it seeds give the same instance, bit for bit.
+        # A seed and the matrix it seeds give the same instance, bit for bit;
+        # a draw rotated before Q is formed agrees at roundoff.
         eigs = np.linspace(2.0, 0.5, 16)
         coords = np.random.default_rng(3).standard_normal(16)
         seeded, given = (
             ProblemInstance(sigma_noise=0.5, sigma_eigs=eigs, signal_coords=coords, basis=b)
             for b in (11, seeded_basis(16, 11))
         )
+        z = sample_matrix(5, 16, "gaussian", 4)
+        np.testing.assert_allclose(seeded.rotate(z), given.rotate(z), rtol=0.0, atol=1e-14)
         assert np.array_equal(seeded.sigma_basis, given.sigma_basis)
         assert np.array_equal(seeded.theta_star, given.theta_star)
+        assert np.array_equal(seeded.covariance(), given.covariance())
         assert np.array_equal(seeded.sqrt_covariance(), given.sqrt_covariance())
+        assert np.array_equal(seeded.rotate(z), z @ given.sigma_basis)
 
     def test_signal_coords_read_only(self):
         coords = np.ones(3)
@@ -311,19 +317,82 @@ class TestSeededBasis:
         assert_same_basis(inst.sigma_basis, q)
         np.testing.assert_allclose(inst.theta_star, q @ coords, rtol=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 7, 128, 129, 300, 1025, 2000])
+    def test_apply_matches_complete_qr(self, d):
+        # Q'y from the reflectors, with the column signs, against the
+        # complete-QR reference, for a matrix and a vector y.
+        raw, tau, signs = seeded_reflectors(d, 5)
+        ref = complete_qr_basis(d, 5)
+        for scale in (1.0, 1e6):
+            y = scale * np.random.default_rng(d).standard_normal((d, 3))
+            got = signs[:, None] * householder_apply(raw, tau, y)
+            np.testing.assert_allclose(got, ref.T @ y, rtol=0.0, atol=1e-13 * scale)
+            got = signs * householder_apply(raw, tau, y[:, 0])
+            np.testing.assert_allclose(got, ref.T @ y[:, 0], rtol=0.0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("sampler", ["gaussian", "rademacher"])
+    @pytest.mark.parametrize("d", [1, 7, 129, 300])
+    def test_rotate_matches_formed_basis(self, d, sampler):
+        # rotate reads only the reflectors until Q is formed, and then Q.
+        eigs = np.linspace(2.0, 0.5, d)
+        inst, formed = (seeded_instance(1.0, eigs, basis_seed=5, theta_seed=8) for _ in range(2))
+        z = sample_matrix(40, d, sampler, 6)
+        ref = z @ formed.sigma_basis
+        np.testing.assert_allclose(inst.rotate(z), ref, rtol=0.0, atol=1e-13)
+        assert inst.__dict__["_formed"] is None
+        assert np.array_equal(formed.rotate(z), ref)
+        assert_same_basis(inst.sigma_basis, complete_qr_basis(d, 5))
+        assert np.array_equal(inst.rotate(z), z @ inst.sigma_basis)
+        with pytest.raises(ValueError, match="z has shape"):
+            inst.rotate(z[:, 1:])
+
+    @pytest.mark.parametrize("corrupt", ["tau", "diagonal", "nan"])
+    @pytest.mark.parametrize("first", ["sigma_basis", "theta_star", "rotate"])
+    def test_reflector_check(self, monkeypatch, corrupt, first):
+        # Perturbed reflectors fail on the first access to the basis, before
+        # Q is formed, whichever access comes first.
+        import ddlab.empirical as emp
+
+        draw = emp.seeded_reflectors
+
+        def corrupted(d, seed):
+            raw, tau, signs = draw(d, seed)
+            if corrupt == "tau":
+                tau[3] *= 1.0 + 1e-6
+            elif corrupt == "diagonal":
+                raw[2, 2] = 0.0
+            else:
+                raw[4, 6] = np.nan
+            return raw, tau, signs
+
+        def unchecked(raw, tau):
+            raise AssertionError("Q formed from unchecked reflectors")
+
+        monkeypatch.setattr(emp, "seeded_reflectors", corrupted)
+        monkeypatch.setattr(emp, "householder_q", unchecked)
+        inst = seeded_instance(1.0, np.linspace(2.0, 0.5, 12), basis_seed=5, theta_seed=8)
+        reads = {
+            "sigma_basis": lambda: inst.sigma_basis,
+            "theta_star": lambda: inst.theta_star,
+            "rotate": lambda: inst.rotate(np.ones((2, 12))),
+        }
+        for name in (first, *reads):
+            with pytest.raises(ValueError, match="orthonormal"):
+                reads[name]()
+
     @pytest.mark.parametrize("signal_kind", ["random_gaussian_normalized", "aligned_file"])
     def test_corrupted_reflectors_fail_at_build(self, tmp_path, monkeypatch, signal_kind):
-        # A formed Q that is not orthonormal fails on the first access to the
-        # basis or to the target, which is formed with it.
+        # A seeded basis that is not orthonormal fails on the first access to
+        # the basis or to the target, which is formed with it.
         import ddlab.empirical as emp
         from ddlab.spectrum import SignalMeasure, Spectrum, spectrum_to_json
 
-        matrix = emp.seeded_basis
+        matrix = emp.seeded_reflectors
 
         def corrupted(d, seed):
-            q = matrix(d, seed)
-            q[:, 0] *= 0.5
-            return q
+            raw, tau, signs = matrix(d, seed)
+            signs[0] *= 0.5
+            return raw, tau, signs
 
         spec = Spectrum(eigenvalues=np.array([0.5, 2.0]), weights=np.array([4.0, 2.0]), d=6)
         path = tmp_path / "measures.json"
@@ -333,7 +402,7 @@ class TestSeededBasis:
             signal_kind=signal_kind, m_grid=[3], mode="theory",
         )
         build_instance(cfg).sigma_basis
-        monkeypatch.setattr(emp, "seeded_basis", corrupted)
+        monkeypatch.setattr(emp, "seeded_reflectors", corrupted)
         for name in ("sigma_basis", "theta_star"):
             inst = build_instance(cfg)
             with pytest.raises(ValueError, match="orthonormal"):
@@ -346,27 +415,29 @@ class TestSeededBasis:
         import ddlab.empirical as emp
 
         calls = []
-        matrix = emp.seeded_basis
+        matrix = emp.seeded_reflectors
 
         def counting(d, seed):
             calls.append(1)
             return matrix(d, seed)
 
-        monkeypatch.setattr(emp, "seeded_basis", counting)
+        monkeypatch.setattr(emp, "seeded_reflectors", counting)
         inst = seeded_instance(1.0, np.linspace(2.0, 0.5, 64), 3, 4)
-        seen, thetas, roots = [], [], []
+        z = sample_matrix(5, 64, "gaussian", 9)
+        seen, thetas, roots, rotated = [], [], [], []
         barrier = threading.Barrier(8)
 
         def reach(k):
             barrier.wait(timeout=30)
-            # The threads reach the basis, the target and Sigma^(1/2) in
-            # three different orders.
+            # The threads rotate a draw and reach the basis, the target and
+            # Sigma^(1/2), in four different orders.
             reads = [
+                lambda: rotated.append(inst.rotate(z)),
                 lambda: seen.append(inst.sigma_basis),
                 lambda: thetas.append(inst.theta_star),
                 lambda: roots.append(inst.sqrt_covariance()),
             ]
-            for read in reads[k % 3:] + reads[:k % 3]:
+            for read in reads[k % 4:] + reads[:k % 4]:
                 read()
 
         interval = sys.getswitchinterval()
@@ -384,6 +455,9 @@ class TestSeededBasis:
         assert len(seen) == 8 and all(b is seen[0] for b in seen)
         assert len(thetas) == 8 and all(t is thetas[0] for t in thetas)
         assert len(roots) == 8 and all(r is roots[0] for r in roots)
+        assert len(rotated) == 8
+        for x in rotated:
+            np.testing.assert_allclose(x, z @ seen[0], rtol=0.0, atol=1e-13)
         assert_same_basis(seen[0], complete_qr_basis(64, 3))
         assert np.array_equal(thetas[0], seen[0] @ inst.signal_coords)
 

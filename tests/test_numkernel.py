@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ddlab.numkernel import (
-    IndefiniteMatrixError, householder_q, pin_heap_thresholds, pseudo_inverse, solve_shifted,
+    IndefiniteMatrixError, householder_apply, householder_q, pin_heap_thresholds, pseudo_inverse,
+    solve_shifted,
 )
 
 
@@ -115,19 +116,46 @@ class TestSolveShifted:
         assert err.value.min_eigenvalue == pytest.approx(-1.0, abs=1e-10)
 
 
+# QR inputs (m, k) with reflectors of tau = 0: at k = 300 the first 140
+# columns are upper triangular, so their reflectors are the identity across
+# the edge of the first 128-reflector block.  The last reflector of a square
+# input has tau = 0 as well.
+HOUSEHOLDER_SHAPES = [(1, 1), (7, 7), (128, 128), (129, 129), (300, 300), (300, 130)]
+
+
+def householder_case(m, k):
+    """(raw, tau) and numpy's complete-mode Q of one such input."""
+    a = np.random.default_rng(m + k).standard_normal((m, k))
+    lead = 140 if k > 140 else 0
+    a[:, :lead] = np.triu(a[:, :lead])
+    raw, tau = np.linalg.qr(a, mode="raw")
+    assert (tau[:lead] == 0.0).all() and (m > k or tau[-1] == 0.0)
+    return raw, tau, np.linalg.qr(a, mode="complete")[0]
+
+
 class TestHouseholderQ:
-    @pytest.mark.parametrize("m, k", [(1, 1), (7, 7), (128, 128), (129, 129), (300, 300), (300, 130)])
+    @pytest.mark.parametrize("m, k", HOUSEHOLDER_SHAPES)
     def test_matches_complete_qr(self, m, k):
-        a = np.random.default_rng(m + k).standard_normal((m, k))
-        # At k = 300 the first 140 columns are upper triangular, so their
-        # reflectors have tau = 0 across the edge of the first 128-reflector
-        # block.  The last reflector of a square input has tau = 0 as well.
-        lead = 140 if k > 140 else 0
-        a[:, :lead] = np.triu(a[:, :lead])
-        raw, tau = np.linalg.qr(a, mode="raw")
-        assert (tau[:lead] == 0.0).all() and (m > k or tau[-1] == 0.0)
-        ref = np.linalg.qr(a, mode="complete")[0]
+        raw, tau, ref = householder_case(m, k)
         np.testing.assert_allclose(householder_q(raw, tau), ref, rtol=0.0, atol=1e-14)
+
+
+class TestHouseholderApply:
+    @pytest.mark.parametrize("m, k", HOUSEHOLDER_SHAPES)
+    def test_matches_complete_qr(self, m, k):
+        raw, tau, ref = householder_case(m, k)
+        y = 3.0 * np.random.default_rng(m).standard_normal((m, 5))
+        for rhs in (y, y[:, 2], np.asfortranarray(y)):
+            got = householder_apply(raw, tau, rhs)
+            assert got.shape == rhs.shape
+            np.testing.assert_allclose(got, ref.T @ rhs, rtol=0.0, atol=3e-13)
+        assert np.array_equal(y, 3.0 * np.random.default_rng(m).standard_normal((m, 5)))
+
+    def test_rejects_wrong_rows(self):
+        raw, tau, _ = householder_case(7, 7)
+        for y in (np.ones((6, 2)), np.ones(8), np.ones((7, 2, 2))):
+            with pytest.raises(ValueError, match="y has shape"):
+                householder_apply(raw, tau, y)
 
 
 def old_eigh_pseudo_inverse(design, tol=1e-12):
