@@ -1178,7 +1178,6 @@ class TestMapDraws:
         assert map_draws(lambda k: -k, range(keys)) == [-k for k in range(keys)]
         assert sizes == ([] if pool is None else [pool])
 
-
     def test_sweep_draws_do_not_fault_the_heap_in_again(self, tmp_path):
         # A fresh process runs one sweep to warm its heap, then the same
         # sweep again.  Unpinned, glibc maps each draw's n x d temporaries
