@@ -45,6 +45,7 @@ from .empirical import (
     seeded_instance,
     summarize_point,
 )
+from .numkernel import pin_heap_thresholds
 from .selfconsistent import kappa_at_dof, kappa_of_lambda
 from .spectrum import (
     SPECTRUM_KINDS,
@@ -542,8 +543,9 @@ def _cmd_kappa(args) -> int:
 
 
 # Draws up to which probe-traces rotates each one from the basis's
-# reflectors.  Applying them costs about 0.1 s more per draw than Z @ Q at
-# n = 1000, d = 2000, and forming and checking Q about 0.4 s once.
+# reflectors.  At n = 1000, d = 2000 on a 2-vCPU VM, applying them takes
+# 0.11-0.14 s per draw against 0.05-0.07 s for Z @ Q, and forming and
+# checking Q takes 0.21-0.25 s once.
 _ROTATIONS_PER_BASIS = 4
 
 
@@ -553,6 +555,8 @@ def _cmd_probe_traces(args) -> int:
         raise UsageError(f"--lambdas must be finite and positive, got {args.lambdas}")
     if args.seeds < 1:
         raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
+    # The draws run outside map_draws; pin the heap thresholds as it does.
+    pin_heap_thresholds()
     kind, params = _checked_spectrum_flag(args.spectrum)
     config = SweepConfig(
         n=args.n, d=args.d, sigma_noise=1.0, spectrum_kind=kind, spectrum_params=params,

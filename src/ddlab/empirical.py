@@ -9,14 +9,14 @@ exactly in the noise (the noise expectation is carried out in closed
 form, never sampled).  Both conditional risks are scored in Sigma^(1/2)
 coordinates, so a draw reads Sigma^(1/2), or Sigma for a ridge draw at
 d > n, which forms no design, and never the eigenbasis.  A seeded
-eigenbasis is the Q factor of a seeded Gaussian matrix, held as its raw
-Householder reflectors until Q itself is asked for; ProblemInstance.rotate
-takes a draw into the eigenbasis from the reflectors alone.  The trace
-probes ask for one shifted inverse per penalty and form each of their
-n x n sandwiches once.  All
-sampling is seed-pure: samplers take explicit seeds and no global RNG state
-is touched, so replications can run concurrently and merge
-deterministically.
+eigenbasis is a Haar-random orthogonal matrix held as d Householder
+reflectors, each drawn in O(d) from a fresh Gaussian vector, with no
+factorization, until Q itself is asked for; ProblemInstance.rotate takes a
+draw into the eigenbasis from the reflectors alone.  The trace probes ask
+for one shifted inverse per penalty and form each of their n x n
+sandwiches once.  All sampling is seed-pure: samplers take explicit seeds
+and no global RNG state is touched, so replications can run concurrently
+and merge deterministically.
 """
 
 from __future__ import annotations
@@ -127,11 +127,38 @@ def sample_matrix(rows: int, cols: int, sampler: str, seed: int) -> np.ndarray:
 
 
 def seeded_reflectors(d: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The seeded basis as (raw, tau, signs): the raw Householder factors
-    np.linalg.qr(G, mode="raw") of a seeded d x d Gaussian draw G = QR, and
-    the column signs of the diagonal of R, which is raw's."""
-    raw, tau = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)), mode="raw")
-    return raw, tau, np.sign(np.diagonal(raw))
+    """The seeded basis Q = H_1 ... H_d diag(signs) as (raw, tau, signs), in
+    the layout of np.linalg.qr(a, mode="raw"), drawn in O(d^2) without any
+    factorization.
+
+    default_rng(seed) draws the d(d+1)/2 upper-triangle entries of a
+    standard normal matrix w, row by row, and reflector k is LAPACK's
+    dlarfg of the Gaussian vector x = w[k, k:]: with alpha = x[0] and
+    s = ||x[1:]||, beta = -copysign(hypot(alpha, s), alpha),
+    tau = (beta - alpha)/beta and the tail x[1:]/(alpha - beta), kept in
+    raw[k, k+1:] right of beta = raw[k, k]; at s = 0, tau = 0 and
+    beta = alpha.  raw's entries left of its diagonal are 0.  The column
+    signs are sign(beta).
+
+    The reflectors have the law of those of the QR factorization of a d x d
+    Gaussian matrix G, whose trailing block after k reflectors is again
+    i.i.d. Gaussian and independent of them; so Q has the law of G's sign-
+    fixed Q factor, which is Haar on the orthogonal group (Stewart 1980;
+    Mezzadri 2007 for the signs).
+    """
+    rng = np.random.default_rng(seed)
+    raw = np.zeros((d, d))
+    for k in range(d):
+        rng.standard_normal(out=raw[k, k:])
+    alpha = raw.diagonal().copy()
+    np.fill_diagonal(raw, 0.0)
+    tail = np.sqrt(np.einsum("ij,ij->i", raw, raw))
+    reflect = tail != 0.0
+    beta = np.where(reflect, -np.copysign(np.hypot(alpha, tail), alpha), alpha)
+    tau = np.divide(beta - alpha, beta, out=np.zeros(d), where=reflect)
+    raw *= np.divide(1.0, alpha - beta, out=np.zeros(d), where=reflect)[:, None]
+    np.fill_diagonal(raw, beta)
+    return raw, tau, np.sign(beta)
 
 
 def _reflector_basis(raw: np.ndarray, tau: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -141,11 +168,9 @@ def _reflector_basis(raw: np.ndarray, tau: np.ndarray, signs: np.ndarray) -> np.
 
 
 def seeded_basis(d: int, seed: int) -> np.ndarray:
-    """Seeded uniformly random d x d orthogonal matrix: the Q factor of a
-    seeded Gaussian draw G = QR, column signs fixed by the diagonal of R.
-    Q is accumulated from the raw Householder factors of G
-    (seeded_reflectors), so neither numpy's complete-mode copies nor R are
-    formed."""
+    """Seeded Haar-random d x d orthogonal matrix Q = H_1 ... H_d diag(signs),
+    accumulated from the reflectors of seeded_reflectors(d, seed), which are
+    drawn directly from Gaussian vectors; no matrix is factored."""
     return _reflector_basis(*seeded_reflectors(d, seed))
 
 
@@ -155,14 +180,15 @@ class ProblemInstance:
     Sigma = Q diag(sigma_eigs) Q' and theta_star = Q u, with u the target's
     eigen-coordinates ``signal_coords``.  ``basis`` is Q as a d x d
     orthonormal matrix, checked here, or an integer seed of
-    ``seeded_basis(d, seed)``.  A seeded Q is held as its Householder
-    reflectors (``seeded_reflectors(d, seed)``), drawn and checked on first
-    use; ``rotate`` reads only them, and Q is formed from them, and checked,
-    when the basis, the target or a covariance is first read, after which Q
-    replaces them.  The eigenvalues and u serve the signal measure and the
-    signal strength, so a theory-only sweep never draws the basis.
-    (Q, theta_star), Sigma, Sigma^(1/2) and Sigma^(1/2) theta_star are each
-    formed once, on first use, and read-only.  Instances are immutable.
+    ``seeded_basis(d, seed)``, a Haar-random Q.  A seeded Q is held as its
+    Householder reflectors (``seeded_reflectors(d, seed)``), drawn from
+    Gaussian vectors in O(d^2) and checked on first use; ``rotate`` reads
+    only them, and Q is formed from them, and checked, when the basis, the
+    target or a covariance is first read, after which Q replaces them.  The
+    eigenvalues and u serve the signal measure and the signal strength, so a
+    theory-only sweep never draws the basis.  (Q, theta_star), Sigma,
+    Sigma^(1/2) and Sigma^(1/2) theta_star are each formed once, on first
+    use, and read-only.  Instances are immutable.
     """
 
     def __init__(self, sigma_noise: float, sigma_eigs, signal_coords, basis):
@@ -307,8 +333,8 @@ _CHECK_ROWS = 128
 def _check_reflectors(raw: np.ndarray, tau: np.ndarray, signs: np.ndarray) -> None:
     """Reject seeded reflectors that give no orthonormal basis, in O(d^2).
 
-    Every tau_i must be finite, every diagonal entry of R finite and nonzero,
-    every column sign +-1, and with h_i = tau_i ||v_i||^2,
+    Every tau_i must be finite, every beta_i (raw's diagonal) finite and
+    nonzero, every column sign +-1, and with h_i = tau_i ||v_i||^2,
     sum_i |h_i| |h_i - 2| <= 1e-8.  Each term is ||H_i'H_i - I||_2 for
     H_i = I - tau_i v_i v_i', so the sum bounds ||Q'Q - I||_2 to first order,
     at the tolerance of _check_orthonormal.  v_i is 1 followed by
@@ -867,7 +893,8 @@ def map_draws(task, keys) -> list:
     """[task(key) for key in keys] on up to DDLAB_THREADS worker threads
     (default 1, never more than there are keys), in key order.  Every Monte
     Carlo draw runs through here, so this is where glibc's heap thresholds
-    are pinned (pin_heap_thresholds, process-global)."""
+    are pinned (pin_heap_thresholds, process-global), as probe-traces does
+    for its own draws."""
     pin_heap_thresholds()
     raw = os.environ.get(THREADS_ENV_VAR, "1")
     try:

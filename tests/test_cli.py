@@ -429,6 +429,26 @@ class TestMain:
             ]) == 0, (n, d)
             assert len(out.read_text().strip().splitlines()) == 1 + 2 * 2 * 6
 
+    def test_probe_traces_pin_heap_thresholds(self, tmp_path, monkeypatch):
+        # probe-traces draws outside map_draws, so it pins glibc's heap
+        # thresholds itself, before the instance is built.
+        import ddlab.cli
+
+        calls = []
+        build = ddlab.cli.build_instance
+
+        def building(config):
+            assert calls == ["pinned"]
+            return build(config)
+
+        monkeypatch.setattr(ddlab.cli, "pin_heap_thresholds", lambda: calls.append("pinned"))
+        monkeypatch.setattr(ddlab.cli, "build_instance", building)
+        assert main([
+            "probe-traces", "--n", "20", "--d", "40", "--lambdas", "0.5",
+            "--out", str(tmp_path / "probes.csv"),
+        ]) == 0
+        assert calls == ["pinned"]
+
     def test_probe_traces_form_basis_only_for_many_draws(self, tmp_path, monkeypatch):
         # Up to _ROTATIONS_PER_BASIS draws are rotated from the reflectors
         # and Q is never formed; past it, Q is formed once and every draw

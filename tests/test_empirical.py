@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.optimize
 import scipy.stats
 
@@ -281,16 +282,35 @@ class TestProblemInstance:
         assert np.array_equal(inst.signal_coords, np.ones(3))
 
 
+def lapack_reflectors(d, seed):
+    """The seeded reflectors in LAPACK's own layout, built one at a time:
+    the d(d+1)/2 normals of default_rng(seed) in rows of d, d - 1, ..., 1,
+    each turned into a reflector by np.linalg.qr(x[:, None], mode="raw"),
+    which is LAPACK's dlarfg.  Column k of the returned array holds beta_k
+    on the diagonal and the reflector's tail below it."""
+    w = np.random.default_rng(seed).standard_normal(d * (d + 1) // 2)
+    a, tau = np.zeros((d, d)), np.zeros(d)
+    start = 0
+    for k in range(d):
+        raw, t = np.linalg.qr(w[start:start + d - k, None], mode="raw")
+        a[k:, k], tau[k] = raw[0], t[0]
+        start += d - k
+    return a, tau
+
+
 def complete_qr_basis(d, seed):
-    """The reference every seeded basis must match: numpy's complete-mode QR
-    of the seeded Gaussian matrix, with the column signs fixed by diag(R)."""
-    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
-    q *= np.sign(np.diag(r))[None, :]
+    """The reference every seeded basis must match: the complete Q that
+    LAPACK's dorgqr, as numpy's complete-mode QR does, forms from the
+    reflectors of lapack_reflectors, with the column signs of the betas."""
+    a, tau = lapack_reflectors(d, seed)
+    q, _, info = scipy.linalg.lapack.dorgqr(a, tau)
+    assert info == 0
+    q *= np.sign(np.diag(a))[None, :]
     return q
 
 
 def assert_same_basis(q, ref):
-    """The equivalence rule of the raw-factor basis: within 1e-14 of the
+    """The equivalence rule of the seeded basis: within 1e-14 of the
     complete-QR reference, entry by entry, and orthonormal to 1e-13."""
     np.testing.assert_allclose(q, ref, rtol=0.0, atol=1e-14)
     gram = q.T @ q
@@ -329,6 +349,47 @@ class TestSeededBasis:
             np.testing.assert_allclose(got, ref.T @ y, rtol=0.0, atol=1e-13 * scale)
             got = signs * householder_apply(raw, tau, y[:, 0])
             np.testing.assert_allclose(got, ref.T @ y[:, 0], rtol=0.0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 129, 300])
+    def test_reflectors_match_dlarfg(self, d):
+        # The betas, taus and tails against LAPACK's dlarfg of the same
+        # Gaussian rows; the entries of raw left of its diagonal are zero.
+        raw, tau, signs = seeded_reflectors(d, 5)
+        a, ref_tau = lapack_reflectors(d, 5)
+        np.testing.assert_allclose(np.tril(raw.T), a, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(tau, ref_tau, rtol=1e-13, atol=1e-15)
+        assert np.array_equal(signs, np.sign(np.diag(a)))
+        assert not np.tril(raw, -1).any()
+        assert tau[-1] == 0.0
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_haar_law(self, d):
+        # 2000 seeded bases against 2000 sign-fixed Q factors of seeded
+        # Gaussian matrices, statistic by statistic, with the two-sample KS
+        # test.  A basis without its column signs has Q[0, 0] <= 0 always.
+        def stats(q):
+            return q[0, 0], q[d - 1, 1], np.trace(q), np.round(np.linalg.det(q))
+
+        ours = np.array([stats(seeded_basis(d, seed)) for seed in range(2000)])
+        ref = []
+        for seed in range(2000):
+            q, r = np.linalg.qr(np.random.default_rng(10_000 + seed).standard_normal((d, d)))
+            ref.append(stats(q * np.sign(np.diag(r))[None, :]))
+        ref = np.array(ref)
+        for k in range(4):
+            assert scipy.stats.ks_2samp(ours[:, k], ref[:, k]).pvalue > 0.01, k
+
+    def test_no_qr_behind_a_seeded_basis(self, monkeypatch):
+        # Drawing, checking and applying the reflectors and forming Q from
+        # them factor nothing.
+        def refused(*args, **kwargs):
+            raise AssertionError("np.linalg.qr called")
+
+        monkeypatch.setattr(np.linalg, "qr", refused)
+        inst = seeded_instance(1.0, np.linspace(2.0, 0.5, 300), basis_seed=5, theta_seed=8)
+        z = sample_matrix(20, 300, "gaussian", 6)
+        x = inst.rotate(z)
+        np.testing.assert_allclose(x, z @ inst.sigma_basis, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("sampler", ["gaussian", "rademacher"])
     @pytest.mark.parametrize("d", [1, 7, 129, 300])
