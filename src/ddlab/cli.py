@@ -555,8 +555,6 @@ def _cmd_probe_traces(args) -> int:
         raise UsageError(f"--lambdas must be finite and positive, got {args.lambdas}")
     if args.seeds < 1:
         raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
-    # The draws run outside map_draws; pin the heap thresholds as it does.
-    pin_heap_thresholds()
     kind, params = _checked_spectrum_flag(args.spectrum)
     config = SweepConfig(
         n=args.n, d=args.d, sigma_noise=1.0, spectrum_kind=kind, spectrum_params=params,
@@ -698,6 +696,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Every command allocates and frees the same temporaries over and over:
+    # the Monte Carlo draws, the probe draws and the kappa solvers' tables.
+    pin_heap_thresholds()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -893,8 +893,8 @@ def map_draws(task, keys) -> list:
     """[task(key) for key in keys] on up to DDLAB_THREADS worker threads
     (default 1, never more than there are keys), in key order.  Every Monte
     Carlo draw runs through here, so this is where glibc's heap thresholds
-    are pinned (pin_heap_thresholds, process-global), as probe-traces does
-    for its own draws."""
+    are pinned (pin_heap_thresholds, process-global) for library callers;
+    the CLI pins them once for every command."""
     pin_heap_thresholds()
     raw = os.environ.get(THREADS_ENV_VAR, "1")
     try:

@@ -429,24 +429,24 @@ class TestMain:
             ]) == 0, (n, d)
             assert len(out.read_text().strip().splitlines()) == 1 + 2 * 2 * 6
 
-    def test_probe_traces_pin_heap_thresholds(self, tmp_path, monkeypatch):
-        # probe-traces draws outside map_draws, so it pins glibc's heap
-        # thresholds itself, before the instance is built.
+    @pytest.mark.parametrize("argv", [
+        ["theory", "--n", "20", "--d", "40", "--m-grid", "10,30"],
+        ["probe-traces", "--n", "20", "--d", "40", "--lambdas", "0.5"],
+    ], ids=lambda argv: argv[0])
+    def test_commands_pin_heap_thresholds(self, argv, tmp_path, monkeypatch):
+        # main pins glibc's heap thresholds once, before any handler runs.
         import ddlab.cli
 
         calls = []
-        build = ddlab.cli.build_instance
+        handler = getattr(ddlab.cli, "_cmd_" + argv[0].replace("-", "_"))
 
-        def building(config):
+        def handling(args):
             assert calls == ["pinned"]
-            return build(config)
+            return handler(args)
 
         monkeypatch.setattr(ddlab.cli, "pin_heap_thresholds", lambda: calls.append("pinned"))
-        monkeypatch.setattr(ddlab.cli, "build_instance", building)
-        assert main([
-            "probe-traces", "--n", "20", "--d", "40", "--lambdas", "0.5",
-            "--out", str(tmp_path / "probes.csv"),
-        ]) == 0
+        monkeypatch.setattr(ddlab.cli, handler.__name__, handling)
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
         assert calls == ["pinned"]
 
     def test_probe_traces_form_basis_only_for_many_draws(self, tmp_path, monkeypatch):
@@ -549,6 +549,14 @@ class TestMain:
         monkeypatch.setattr(ddlab.cli, "run_fig3", singular)
         assert main(["reproduce", "fig3", "--out", str(tmp_path / "f3")]) == 2
         assert capsys.readouterr().err.startswith("numeric failure: Singular matrix")
+
+    def test_unconverged_kappa_exit_two(self, capsys, monkeypatch):
+        import ddlab.selfconsistent
+
+        monkeypatch.setattr(ddlab.selfconsistent, "_NEWTON_CAP", 1)
+        argv = ["kappa", "--spectrum", "inverse_index", "--n", "200", "--d", "400"]
+        assert main([*argv, "--dof-target", "0.5"]) == 2
+        assert capsys.readouterr().err.startswith("numeric failure: kappa solve did not converge")
 
     def test_threads_below_one_exit_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DDLAB_THREADS", "-4")

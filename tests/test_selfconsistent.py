@@ -8,8 +8,10 @@ from ddlab.selfconsistent import (
     kappa_of_lambda,
     kappa_two_dirac_closed,
 )
+from ddlab.numkernel import NumericalError
 from ddlab.spectrum import (
-    SignalMeasure, Spectrum, df1, make_inverse_index, make_isotropic, make_two_dirac,
+    SignalMeasure, Spectrum, df1, make_inverse_index, make_isotropic, make_power_law,
+    make_two_dirac,
 )
 from ddlab.theory import ridge_risk
 
@@ -211,30 +213,19 @@ class TestClosedForms:
             kappa_two_dirac_closed(0.5, 0.5, 1.0, 4.0, 0.5, 0.9)  # delta > gamma
 
 
-class TestCertifiedBracket:
-    """Newton steps certify a bracket; the bisection calls df1 only inside it."""
+class TestNewtonSolve:
+    """Monotone Newton on the theory_grid benchmark's grids (the 199 m points
+    below n and the 400 lambda points on the 1/k spectrum at d = 4000,
+    n = 2000), and its report of a point it could not solve."""
 
     S = make_inverse_index(4000)
     N = 2000
     TARGETS = np.arange(10.0, 2000.0, 10.0)
     LAMS = np.geomspace(1e-6, 1.0, 400)
 
-    def solve(self):
-        return kappa_at_dof(self.S, self.TARGETS), kappa_of_lambda(self.S, self.N, self.LAMS)
-
-    @staticmethod
-    def without_newton(monkeypatch):
-        """Every Newton step NaN, as from a NaN derivative."""
-        bracket = selfconsistent._certified_bracket
-
-        def nan_steps(x, v, side, value, holds, newton):
-            return bracket(x, v, side, value, holds, lambda k, *_: np.full(k.shape, np.nan))
-
-        monkeypatch.setattr(selfconsistent, "_certified_bracket", nan_steps)
-
-    @staticmethod
-    def count_rows(monkeypatch):
-        """Table rows (points with kappa > 0) evaluated by df1 and the slopes."""
+    def test_rows_on_benchmark_grids(self, monkeypatch):
+        # Table rows (points with kappa > 0) evaluated by df1 and the slopes:
+        # two per Newton step away from kappa = 0 and one per residual.
         rows = [0]
         for name in ("df1", "df2", "support_sums"):
             def counted(s, kappa, *args, _f=getattr(selfconsistent, name)):
@@ -242,40 +233,21 @@ class TestCertifiedBracket:
                 return _f(s, kappa, *args)
 
             monkeypatch.setattr(selfconsistent, name, counted)
-        return rows
-
-    def assert_same(self, got, want):
-        for a, b in zip(got, want):
-            assert np.array_equal(a.kappa, b.kappa)
-            assert np.array_equal(a.residual, b.residual)
-            assert np.array_equal(a.diverged, b.diverged)
-            assert a.iterations == b.iterations
-
-    def test_nan_newton_steps_fall_back_to_full_bisection(self, monkeypatch):
-        certified = self.solve()
-        self.without_newton(monkeypatch)
-        self.assert_same(self.solve(), certified)
-
-    def test_newton_cap_zero_gives_same_bits(self, monkeypatch):
-        certified = self.solve()
-        monkeypatch.setattr(selfconsistent, "_NEWTON_CAP", 0)
-        self.assert_same(self.solve(), certified)
-
-    def test_at_most_half_the_rows_of_a_full_bisection(self, monkeypatch):
-        rows = self.count_rows(monkeypatch)
         kappa_at_dof(self.S, self.TARGETS)
         dof = rows[0]
         kappa_of_lambda(self.S, self.N, self.LAMS)
-        lam = rows[0] - dof
-        self.without_newton(monkeypatch)
-        rows[0] = 0
-        kappa_at_dof(self.S, self.TARGETS)
-        full_dof = rows[0]
-        kappa_of_lambda(self.S, self.N, self.LAMS)
-        full_lam = rows[0] - full_dof
-        # Every bisection step, the roundoff nudges of hi, the Newton polish
-        # and the residuals: 9,725 df1 rows and 471 slope rows for the m
-        # grid, 17,352 df1 rows for the lambda grid.
-        assert (full_dof, full_lam) == (10196, 17352)
-        assert 2 * dof <= full_dof
-        assert 2 * lam <= full_lam
+        assert (dof, rows[0] - dof) == (1791, 3460)
+
+    def test_steep_power_law_dof_grid_at_roundoff(self):
+        # Eigenvalues spread over 72 decades, so tr(Sigma)/target lies up to
+        # 2^208 times above kappa, past the reach of 200 halvings.
+        s = make_power_law(4000, 20.0)
+        sol = kappa_at_dof(s, self.TARGETS)
+        assert (np.abs(df1(s, sol.kappa) - self.TARGETS) <= 1e-12 * self.TARGETS).all()
+
+    def test_unconverged_point_raises(self, monkeypatch):
+        monkeypatch.setattr(selfconsistent, "_NEWTON_CAP", 1)
+        with pytest.raises(NumericalError, match=r"target = 10\.0:"):
+            kappa_at_dof(self.S, self.TARGETS)
+        with pytest.raises(NumericalError, match=r"lambda = 1e-06:"):
+            kappa_of_lambda(self.S, self.N, self.LAMS)
